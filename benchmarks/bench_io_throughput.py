@@ -26,8 +26,8 @@ from repro.core.wire import MAX_BATCH_PAGES
 from repro.io import (
     PageStreamDecoder,
     PageStreamEncoder,
-    decode_entry_records,
-    encode_entry_records,
+    decode_entry_runs,
+    encode_entry_runs,
 )
 
 GUEST_PAGES = [512, 4096, 16384]
@@ -81,11 +81,15 @@ def measure_pages(page_count, unique_fraction, seed=SEED):
 
 
 def measure_entries(entry_count):
-    """Round-trip contiguous PRAM entries through the run codec."""
-    records = [(gfn, gfn + 1024, 9) for gfn in range(entry_count)]
-    encoded = encode_entry_records(records)
-    if decode_entry_records(encoded) != records:
-        raise AssertionError("entry-record round trip corrupted records")
+    """Round-trip contiguous PRAM entries through the run codec.
+
+    The entries go in as one single-entry run each, so the encoder's
+    coalescing does the work; they must come back as one maximal run.
+    """
+    runs = [(gfn, gfn + 1024, 9, 1) for gfn in range(entry_count)]
+    encoded = encode_entry_runs(runs)
+    if decode_entry_runs(encoded) != [(0, 1024, 9, entry_count)]:
+        raise AssertionError("entry-run round trip corrupted entries")
     raw_bytes = 8 * entry_count
     return {
         "entries": entry_count,

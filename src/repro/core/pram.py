@@ -5,6 +5,13 @@ each entry being an 8-byte record holding the guest frame number, the
 machine frame number and the chunk size as a power-of-two page count (so
 2 MB host large pages cost one entry, not 512).
 
+A file holds its entries as maximal runs ``(gfn, mfn, order, count)`` of
+contiguous entries, never one object per entry: describing a guest costs
+O(guest pages) however many 4 KB entries the unoptimised layout has.
+Entry counts, node pages and metadata sizes are computed from the run
+counts, and runs are expanded to packed 8-byte records only inside the
+encoder, when that encoding is the smaller one.
+
 Structure (all metadata is page-aligned, as in the paper):
 
 * the **PRAM pointer** — a single machine address passed to the target
@@ -27,10 +34,12 @@ from repro.hw.memory import PAGE_4K, PhysicalMemory
 from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
 from repro.io.pages import (
     DedupStats,
+    EntryRun,
     PageStreamDecoder,
     PageStreamEncoder,
-    decode_entry_records,
-    encode_entry_records,
+    coalesce_entry_runs,
+    decode_entry_runs,
+    encode_entry_runs,
     pack_entry_record,
     unpack_entry_record,
 )
@@ -57,6 +66,66 @@ def _pack_entry(gfn: int, mfn: int, order: int) -> int:
 
 def _unpack_entry(packed: int) -> Tuple[int, int, int]:
     return unpack_entry_record(packed)
+
+
+def _page_order(size: int) -> int:
+    """Order of a power-of-two multiple of 4K; PRAMError for any other size."""
+    order = (size // PAGE_4K).bit_length() - 1
+    if order < 0 or PAGE_4K << order != size:
+        raise PRAMError(
+            f"page size {size} is not a power-of-two multiple of 4K")
+    return order
+
+
+def _entry_order(page_size: int, entry_page_size: int) -> int:
+    """Order of the entries of a file with ``page_size`` guest pages.
+
+    Both sizes must be power-of-two multiples of 4K, and the entry size
+    must divide the page size.
+    """
+    _page_order(page_size)
+    order = _page_order(entry_page_size)
+    if entry_page_size > page_size:
+        raise PRAMError(
+            f"entry page size {entry_page_size} does not divide guest "
+            f"page size {page_size}"
+        )
+    return order
+
+
+def _layout_from_runs(name: str, page_size: int,
+                      runs: List[EntryRun]) -> Dict[int, int]:
+    """Rebuild a decoded file's GFN -> MFN map from its entry runs.
+
+    Applies :meth:`PRAMFilesystem.add_vm_file`'s rules: one entry order
+    per file, an entry size that divides the page size, and every
+    described guest page covered by whole, contiguous entries exactly
+    once.  A frame that breaks them is well-formed (its CRC holds) but
+    inconsistent, and raises :class:`PRAMError`.
+    """
+    orders = sorted({order for _, _, order, _ in runs})
+    if len(orders) > 1:
+        raise PRAMError(f"PRAM file {name!r} mixes entry orders {orders}")
+    entry_page_size = PAGE_4K << orders[0] if orders else page_size
+    _entry_order(page_size, entry_page_size)
+    expansion = page_size // entry_page_size
+    layout: Dict[int, int] = {}
+    pages = 0
+    for gfn, mfn, _, count in runs:
+        if gfn % expansion or count % expansion:
+            raise PRAMError(
+                f"PRAM file {name!r}: entries {gfn}..{gfn + count - 1} "
+                f"cover part of a {page_size}-byte guest page")
+        first = gfn // expansion
+        span = count // expansion
+        layout.update(zip(range(first, first + span),
+                          range(mfn, mfn + count, expansion)))
+        pages += span
+    if len(layout) != pages:
+        raise PRAMError(
+            f"PRAM file {name!r} describes {pages} guest pages but only "
+            f"{len(layout)} distinct ones")
+    return layout
 
 
 # Frame type tags of the PRAM stream (see docs/state-io.md).
@@ -90,21 +159,28 @@ class PageEntry:
 class PRAMFile:
     """One VM's memory described as a PRAM file.
 
-    ``entries`` are the on-disk-format records at *entry* granularity (4 KB
-    without the huge-page optimisation, 2 MB with it); ``guest_layout`` is
-    the GFN -> MFN map at the guest's own page granularity, which is what
-    restoration consumes.
+    ``runs`` are the on-disk-format records at *entry* granularity (4 KB
+    without the huge-page optimisation, 2 MB with it), held as maximal
+    ``(gfn, mfn, order, count)`` runs of contiguous entries;
+    ``guest_layout`` is the GFN -> MFN map at the guest's own page
+    granularity, which is what restoration consumes.
     """
 
     name: str
     page_size: int  # guest page size
-    entries: List[PageEntry] = field(default_factory=list)
+    runs: List[EntryRun] = field(default_factory=list)
     guest_layout: Dict[int, int] = field(default_factory=dict)
     mode: int = 0o600
 
     @property
+    def entry_count(self) -> int:
+        """Number of 8-byte page entries the runs stand for."""
+        return sum(count for _, _, _, count in self.runs)
+
+    @property
     def total_bytes(self) -> int:
-        return sum(entry.byte_size for entry in self.entries)
+        return sum(count * (PAGE_4K << order)
+                   for _, _, order, count in self.runs)
 
     def layout(self) -> Dict[int, int]:
         """GFN -> MFN map (in guest page_size units)."""
@@ -112,9 +188,7 @@ class PRAMFile:
 
     @property
     def node_page_count(self) -> int:
-        if not self.entries:
-            return 1
-        return -(-len(self.entries) // _ENTRIES_PER_NODE)
+        return max(1, -(-self.entry_count // _ENTRIES_PER_NODE))
 
     def metadata_bytes(self) -> int:
         """Bytes of node pages + file-info header this file consumes."""
@@ -150,32 +224,23 @@ class PRAMFilesystem:
         huge-page optimisation (the default), each guest page costs a single
         8-byte record; passing ``entry_page_size=PAGE_4K`` for a huge-paged
         guest models the unoptimised patchset, where every 4 KB base page
-        gets its own record (512x the metadata, §4.2.5).
+        gets its own record (512x the metadata, §4.2.5).  Either way a
+        guest page is one run of ``page_size // entry_page_size`` entries,
+        merged into the previous run when gfn and mfn both continue it.
         """
         if self._sealed:
             raise PRAMError("PRAM structure already sealed")
         if name in self.files:
             raise PRAMError(f"duplicate PRAM file {name!r}")
         entry_page_size = entry_page_size or page_size
-        if entry_page_size > page_size or page_size % entry_page_size:
-            raise PRAMError(
-                f"entry page size {entry_page_size} does not divide guest "
-                f"page size {page_size}"
-            )
-        order = (entry_page_size // PAGE_4K).bit_length() - 1
-        if PAGE_4K << order != entry_page_size:
-            raise PRAMError(
-                f"page size {entry_page_size} is not a power-of-two multiple "
-                f"of 4K"
-            )
+        order = _entry_order(page_size, entry_page_size)
         guest_layout = dict(mappings)
         expansion = page_size // entry_page_size
-        entries = []
-        for gfn, mfn in guest_layout.items():
-            for sub in range(expansion):
-                entries.append(PageEntry(gfn=gfn * expansion + sub,
-                                         mfn=mfn + sub, order=order))
-        pram_file = PRAMFile(name=name, page_size=page_size, entries=entries,
+        runs = coalesce_entry_runs(
+            (gfn * expansion, mfn, order, expansion)
+            for gfn, mfn in guest_layout.items()
+        )
+        pram_file = PRAMFile(name=name, page_size=page_size, runs=runs,
                              guest_layout=guest_layout)
         self.files[name] = pram_file
         return pram_file
@@ -219,7 +284,7 @@ class PRAMFilesystem:
             raise PRAMError(f"no PRAM file named {name!r}") from None
 
     def total_entries(self) -> int:
-        return sum(len(f.entries) for f in self.files.values())
+        return sum(f.entry_count for f in self.files.values())
 
     def metadata_bytes(self) -> int:
         """Measured metadata footprint (the Fig. 14 'PRAM structures' series)."""
@@ -261,8 +326,7 @@ class PRAMFilesystem:
                 packer.u16(len(encoded_name)).raw(encoded_name)
                 packer.u32(pram_file.page_size)
                 packer.u32(pram_file.mode)
-                packer.raw(encode_entry_records(
-                    (e.gfn, e.mfn, e.order) for e in pram_file.entries))
+                packer.raw(encode_entry_runs(pram_file.runs))
                 writer.frame(_FRAME_FILE, packer.bytes())
                 if pages_encoder is not None:
                     records = [(gfn, self.memory.read(mfn))
@@ -314,21 +378,12 @@ class PRAMFilesystem:
                 name = unpacker.raw(unpacker.u16()).decode()
                 page_size = unpacker.u32()
                 mode = unpacker.u32()
-                entries = [
-                    PageEntry(gfn=gfn, mfn=mfn, order=order)
-                    for gfn, mfn, order in decode_entry_records(
-                        unpacker.raw(unpacker.remaining))
-                ]
-                guest_layout: Dict[int, int] = {}
-                if entries:
-                    expansion = page_size // entries[0].byte_size
-                    for entry in entries:
-                        if entry.gfn % expansion == 0:
-                            guest_layout[entry.gfn // expansion] = entry.mfn
+                runs = decode_entry_runs(unpacker.raw(unpacker.remaining))
+                guest_layout = _layout_from_runs(name, page_size, runs)
                 if name in fs.files:
                     raise PRAMError(f"duplicate PRAM file {name!r}")
                 fs.files[name] = PRAMFile(
-                    name=name, page_size=page_size, entries=entries,
+                    name=name, page_size=page_size, runs=runs,
                     guest_layout=guest_layout, mode=mode)
             elif frame_type == _FRAME_CONTENTS:
                 if pages_decoder is None:

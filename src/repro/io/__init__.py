@@ -31,8 +31,9 @@ from repro.io.pages import (
     DedupStats,
     PageStreamDecoder,
     PageStreamEncoder,
-    decode_entry_records,
-    encode_entry_records,
+    coalesce_entry_runs,
+    decode_entry_runs,
+    encode_entry_runs,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "DedupStats",
     "PageStreamEncoder",
     "PageStreamDecoder",
-    "encode_entry_records",
-    "decode_entry_records",
+    "encode_entry_runs",
+    "decode_entry_runs",
+    "coalesce_entry_runs",
 ]

@@ -13,11 +13,12 @@ Two codecs live here:
   was already sent in any earlier batch of the same stream is encoded as
   a 4-byte back-reference instead of an 8-byte literal (identical-content
   pages cross the wire once).  :class:`DedupStats` reports the ratio.
-* :func:`encode_entry_records`/:func:`decode_entry_records` — PRAM page
-  entries ``(gfn, mfn, order)``.  Contiguous entries (gfn+1, mfn+1, same
-  order — what huge-page expansion produces) coalesce into runs; the
-  encoding is self-describing and deterministically picks raw 8-byte
-  packed entries whenever runs would be larger.
+* :func:`encode_entry_runs`/:func:`decode_entry_runs` — PRAM page
+  entries, held as maximal runs ``(gfn, mfn, order, count)`` of
+  contiguous entries (gfn+1, mfn+1, same order — what huge-page
+  expansion produces).  The encoding is self-describing and
+  deterministically picks raw 8-byte packed entries whenever runs would
+  be larger; only then are runs expanded, inside the encoder.
 """
 
 from dataclasses import dataclass
@@ -182,26 +183,42 @@ class PageStreamDecoder:
         return pages
 
 
-def _entry_runs(
-    records: List[Tuple[int, int, int]]
-) -> List[Tuple[int, int, int, int]]:
-    """Coalesce contiguous entries into (gfn, mfn, order, count) runs."""
-    runs: List[Tuple[int, int, int, int]] = []
-    for gfn, mfn, order in records:
-        if runs:
-            rg, rm, ro, rc = runs[-1]
+#: one PRAM entry run ``(gfn, mfn, order, count)``: the ``count`` entries
+#: ``(gfn + i, mfn + i, order)`` for ``i`` in ``range(count)``.
+EntryRun = Tuple[int, int, int, int]
+
+
+def coalesce_entry_runs(runs: Iterable[EntryRun]) -> List[EntryRun]:
+    """Merge adjacent runs into maximal runs.
+
+    Two runs merge when they share an order and the second starts where
+    the first ends in both gfn and mfn.  The result depends only on the
+    entry sequence the runs describe, so any split of one sequence
+    coalesces to the same runs — and so encodes to the same bytes.
+    """
+    merged: List[EntryRun] = []
+    for gfn, mfn, order, count in runs:
+        if count <= 0:
+            raise StateFormatError(
+                f"entry run at gfn {gfn} has non-positive count {count}")
+        if merged:
+            rg, rm, ro, rc = merged[-1]
             if ro == order and rg + rc == gfn and rm + rc == mfn:
-                runs[-1] = (rg, rm, ro, rc + 1)
+                merged[-1] = (rg, rm, ro, rc + count)
                 continue
-        runs.append((gfn, mfn, order, 1))
-    return runs
+        merged.append((gfn, mfn, order, count))
+    return merged
 
 
-def encode_entry_records(records: Iterable[Tuple[int, int, int]]) -> bytes:
-    """Encode PRAM page entries, run-coalesced when that is smaller."""
-    records = list(records)
-    runs = _entry_runs(records)
-    raw_size = 1 + 4 + 8 * len(records)
+def encode_entry_runs(runs: Iterable[EntryRun]) -> bytes:
+    """Encode PRAM entry runs, as runs or as raw 8-byte records.
+
+    Runs are written as they are when that is smaller; otherwise every
+    run is expanded into its packed records here, and only here.
+    """
+    runs = coalesce_entry_runs(runs)
+    entry_count = sum(count for _, _, _, count in runs)
+    raw_size = 1 + 4 + 8 * entry_count
     runs_size = 1 + 4 + 21 * len(runs)
     packer = Packer()
     if runs_size < raw_size:
@@ -209,24 +226,22 @@ def encode_entry_records(records: Iterable[Tuple[int, int, int]]) -> bytes:
         for gfn, mfn, order, count in runs:
             packer.u64(gfn).u64(mfn).u8(order).u32(count)
     else:
-        packer.u8(_ENTRY_RAW).u32(len(records))
-        for gfn, mfn, order in records:
-            packer.u64(pack_entry_record(gfn, mfn, order))
+        packer.u8(_ENTRY_RAW).u32(entry_count)
+        for gfn, mfn, order, count in runs:
+            for i in range(count):
+                packer.u64(pack_entry_record(gfn + i, mfn + i, order))
     return packer.bytes()
 
 
-def decode_entry_records(blob: bytes) -> List[Tuple[int, int, int]]:
-    """Decode PRAM page entries back to (gfn, mfn, order) tuples."""
+def decode_entry_runs(blob: bytes) -> List[EntryRun]:
+    """Decode PRAM page entries back to maximal runs."""
     unpacker = Unpacker(blob)
     mode = unpacker.u8()
-    records: List[Tuple[int, int, int]] = []
     if mode == _ENTRY_RUNS:
-        for _ in range(unpacker.u32()):
-            gfn = unpacker.u64()
-            mfn = unpacker.u64()
-            order = unpacker.u8()
-            count = unpacker.u32()
-            records.extend((gfn + i, mfn + i, order) for i in range(count))
+        runs = [
+            (unpacker.u64(), unpacker.u64(), unpacker.u8(), unpacker.u32())
+            for _ in range(unpacker.u32())
+        ]
     elif mode == _ENTRY_RAW:
         count = unpacker.u32()
         if count * 8 > unpacker.remaining:
@@ -234,10 +249,10 @@ def decode_entry_records(blob: bytes) -> List[Tuple[int, int, int]]:
                 f"truncated entry records: {count} entries need "
                 f"{count * 8} bytes, have {unpacker.remaining}"
             )
-        records.extend(
-            unpack_entry_record(unpacker.u64()) for _ in range(count)
-        )
+        runs = [
+            unpack_entry_record(unpacker.u64()) + (1,) for _ in range(count)
+        ]
     else:
         raise StateFormatError(f"unknown entry-record encoding {mode}")
     unpacker.expect_end()
-    return records
+    return coalesce_entry_runs(runs)

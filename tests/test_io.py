@@ -17,9 +17,10 @@ from repro.io import (
     PageStreamEncoder,
     StreamMeter,
     Unpacker,
-    decode_entry_records,
+    coalesce_entry_runs,
+    decode_entry_runs,
     decode_frame,
-    encode_entry_records,
+    encode_entry_runs,
     encode_frame,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -209,28 +210,46 @@ class TestPageStream:
 
 class TestEntryRecords:
     def test_contiguous_entries_coalesce_to_runs(self):
-        records = [(gfn, gfn + 100, 9) for gfn in range(256)]
-        encoded = encode_entry_records(records)
-        assert len(encoded) < 8 * len(records)
-        assert decode_entry_records(encoded) == records
+        runs = [(0, 100, 9, 256)]
+        encoded = encode_entry_runs(runs)
+        assert len(encoded) < 8 * 256
+        assert decode_entry_runs(encoded) == runs
+
+    def test_split_runs_encode_like_maximal_runs(self):
+        singletons = [(gfn, gfn + 100, 9, 1) for gfn in range(256)]
+        assert coalesce_entry_runs(singletons) == [(0, 100, 9, 256)]
+        assert (encode_entry_runs(singletons)
+                == encode_entry_runs([(0, 100, 9, 256)]))
 
     def test_scattered_entries_stay_raw(self):
-        records = [(gfn * 3, gfn * 7 + 1, 0) for gfn in range(16)]
-        encoded = encode_entry_records(records)
-        assert len(encoded) == 1 + 4 + 8 * len(records)
-        assert decode_entry_records(encoded) == records
+        runs = [(gfn * 3, gfn * 7 + 1, 0, 1) for gfn in range(16)]
+        encoded = encode_entry_runs(runs)
+        assert len(encoded) == 1 + 4 + 8 * len(runs)
+        assert decode_entry_runs(encoded) == runs
+
+    def test_short_runs_expand_to_raw_records(self):
+        # Two 2-entry runs: 21 bytes each as runs, 16 as raw records.
+        runs = [(0, 10, 0, 2), (8, 40, 0, 2)]
+        encoded = encode_entry_runs(runs)
+        assert len(encoded) == 1 + 4 + 8 * 4
+        assert decode_entry_runs(encoded) == runs
 
     def test_empty_roundtrip(self):
-        assert decode_entry_records(encode_entry_records([])) == []
+        assert decode_entry_runs(encode_entry_runs([])) == []
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(StateFormatError, match="unknown entry-record"):
-            decode_entry_records(b"\x07")
+            decode_entry_runs(b"\x07")
 
     def test_raw_corrupt_count_rejected(self):
         blob = Packer().u8(0).u32(0xFFFFFF).u64(0).bytes()
         with pytest.raises(StateFormatError, match="truncated"):
-            decode_entry_records(blob)
+            decode_entry_runs(blob)
+
+    def test_empty_run_rejected(self):
+        blob = Packer().u8(1).u32(1).u64(0).u64(0).u8(0).u32(0).bytes()
+        with pytest.raises(StateFormatError, match="non-positive count"):
+            decode_entry_runs(blob)
 
 
 class TestCrossPathDedup:

@@ -82,9 +82,11 @@ def test_pram_entries_cover_every_frame_exactly_once(layouts):
         fs.add_vm_file(name, mapping.items(), page_size=PAGE_2M)
     seen = []
     for pram_file in fs.files.values():
-        for entry in pram_file.entries:
-            assert entry.byte_size == PAGE_2M  # power-of-two chunk
-            seen.append(entry.mfn)
+        for gfn, mfn, order, count in pram_file.runs:
+            for i in range(count):
+                entry = PageEntry(gfn=gfn + i, mfn=mfn + i, order=order)
+                assert entry.byte_size == PAGE_2M  # power-of-two chunk
+                seen.append(entry.mfn)
     expected = [m for mapping in layouts.values() for m in mapping.values()]
     assert sorted(seen) == sorted(expected)
 
