@@ -10,7 +10,6 @@ import argparse
 
 from repro.bench.report import format_table, print_experiment
 from repro.bench.runner import cluster_fraction_cell
-from repro.cluster.upgrade import UpgradeCampaign
 from repro.par import ParallelRunner
 
 FRACTIONS = [0.0, 0.2, 0.4, 0.6, 0.8]
@@ -18,46 +17,13 @@ PAPER_MIGRATIONS = {0.0: 154, 0.2: 109, 0.6: 42, 0.8: 25}
 PAPER_GAINS = {0.2: 0.17, 0.6: 0.68, 0.8: 0.80}
 
 
-def run():
-    campaign = UpgradeCampaign()
-    results = campaign.sweep(FRACTIONS)
-    gains = UpgradeCampaign.time_gains(results)
-    rows = []
-    for result, gain in zip(results, gains):
-        fraction = result.inplace_fraction
-        rows.append([
-            f"{fraction:.0%}",
-            result.migration_count,
-            PAPER_MIGRATIONS.get(fraction, "-"),
-            result.total_minutes,
-            f"{gain:.0%}",
-            f"{PAPER_GAINS[fraction]:.0%}" if fraction in PAPER_GAINS else "-",
-        ])
-    return rows
+def _rows(results):
+    """Table rows from per-fraction cells, in :data:`FRACTIONS` order.
 
-
-HEADERS = ["InPlaceTP share", "migrations", "paper", "total (min)",
-           "time gain", "paper gain"]
-
-
-def test_fig13_cluster(benchmark):
-    rows = benchmark(run)
-    print_experiment("Fig. 13", "cluster upgrade vs InPlaceTP share",
-                     format_table(HEADERS, rows))
-
-
-def run_parallel(workers=1):
-    """The same rows as :func:`run`, one worker cell per fraction.
-
-    Cells return absolute totals only; the time *gain* is relative to
-    the all-migration baseline, so it is recomputed here once every
-    cell's total is in — exactly how the serial sweep derives it.
+    Cells return absolute totals only; the time *gain* is relative to the
+    all-migration baseline, so it is computed here once every cell's
+    total is in.
     """
-    cells = [{"fraction": fraction} for fraction in FRACTIONS]
-    runner = ParallelRunner(workers=workers, task_timeout_s=600.0)
-    results = runner.map_tasks(cluster_fraction_cell, cells,
-                               labels=[f"frac{c['fraction']:g}"
-                                       for c in cells])
     baseline_s = results[0]["total_s"]
     rows = []
     for result in results:
@@ -72,6 +38,30 @@ def run_parallel(workers=1):
             f"{PAPER_GAINS[fraction]:.0%}" if fraction in PAPER_GAINS else "-",
         ])
     return rows
+
+
+def run():
+    return _rows([cluster_fraction_cell({"fraction": fraction})
+                  for fraction in FRACTIONS])
+
+
+HEADERS = ["InPlaceTP share", "migrations", "paper", "total (min)",
+           "time gain", "paper gain"]
+
+
+def test_fig13_cluster(benchmark):
+    rows = benchmark(run)
+    print_experiment("Fig. 13", "cluster upgrade vs InPlaceTP share",
+                     format_table(HEADERS, rows))
+
+
+def run_parallel(workers=1):
+    """The same rows as :func:`run`, one worker cell per fraction."""
+    cells = [{"fraction": fraction} for fraction in FRACTIONS]
+    runner = ParallelRunner(workers=workers, task_timeout_s=600.0)
+    return _rows(runner.map_tasks(cluster_fraction_cell, cells,
+                                  labels=[f"frac{c['fraction']:g}"
+                                          for c in cells]))
 
 
 def test_fig13_parallel_matches_serial():

@@ -8,7 +8,8 @@ VMs, and reports how migration counts and total time fall as more VMs can
 ride the micro-reboot.
 """
 
-from repro.cluster import BtrPlacePlanner, PlanExecutor, UpgradeCampaign
+from repro.bench.runner import cluster_fraction_cell
+from repro.cluster import BtrPlacePlanner
 from repro.cluster.model import build_paper_cluster
 
 
@@ -22,24 +23,26 @@ def inspect_one_plan():
         print(f"  round {group.group_index}: offline {group.nodes}, "
               f"{len(group.migrations)} migrations, "
               f"in-place VMs per host {upgrades}")
-    result = PlanExecutor().execute(plan)
-    print(f"  => {result.migration_count} migrations "
-          f"({result.migration_s / 60:.1f} min) + "
-          f"{result.upgrade_count} host reboots "
-          f"({result.upgrade_s:.0f} s) = {result.total_minutes:.1f} min\n")
+    # The fleet controller runs the same plan wave by wave on the event
+    # engine: evacuations back-to-back on the fabric, then the wave's
+    # hosts micro-reboot in parallel.
+    result = cluster_fraction_cell({"fraction": 0.5})
+    print(f"  => {result['migration_count']} migrations + "
+          f"{plan.upgrade_count} host reboots = "
+          f"{result['total_minutes']:.1f} min\n")
 
 
 def sweep():
-    campaign = UpgradeCampaign()
     fractions = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    results = campaign.sweep(fractions)
-    gains = UpgradeCampaign.time_gains(results)
+    results = [cluster_fraction_cell({"fraction": f}) for f in fractions]
+    baseline_s = results[0]["total_s"]
     print("InPlaceTP share -> migrations, total time, gain (Fig. 13):")
-    for result, gain in zip(results, gains):
-        print(f"  {result.inplace_fraction:>4.0%}: "
-              f"{result.migration_count:3d} migrations, "
-              f"{result.total_minutes:5.1f} min, gain {gain:4.0%}  "
-              f"{'#' * (result.migration_count // 4)}")
+    for result in results:
+        gain = 1.0 - result["total_s"] / baseline_s
+        print(f"  {result['fraction']:>4.0%}: "
+              f"{result['migration_count']:3d} migrations, "
+              f"{result['total_minutes']:5.1f} min, gain {gain:4.0%}  "
+              f"{'#' * (result['migration_count'] // 4)}")
     print("\nPaper anchors: 154 migrations at 0 %; 109/-17 % at 20 %; "
           "25 migrations/-80 % at 80 % (3 min 54 s vs up to 19 min).")
 

@@ -73,7 +73,6 @@ _EXPORTS = {
     "Severity": "repro.vulndb",
     "NovaCompute": "repro.orchestrator",
     "DatacenterAPI": "repro.orchestrator",
-    "UpgradeCampaign": "repro.cluster",
     "FleetConfig": "repro.fleet",
     "FleetController": "repro.fleet",
     "FleetMetrics": "repro.fleet",
@@ -136,7 +135,6 @@ __all__ = [
     "Severity",
     "NovaCompute",
     "DatacenterAPI",
-    "UpgradeCampaign",
     "FleetConfig",
     "FleetController",
     "FleetMetrics",

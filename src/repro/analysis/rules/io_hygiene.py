@@ -5,9 +5,9 @@
 the migration wire, the PRAM encoding parsed across the kexec, UISR
 documents, plan blobs — must go through the framed, CRC-checked codec
 layer; a stray ``struct.pack`` elsewhere is an unversioned, unchecksummed
-byte format waiting to corrupt a guest silently.  (This migrates the
-historical allowance of ``hypervisors/state.py``, which is now a thin
-re-export of :mod:`repro.io.frames`.)
+byte format waiting to corrupt a guest silently.  The hypervisor
+formats pack through :class:`repro.io.frames.Packer`/``Unpacker``, so no
+module outside ``io/`` needs an allowance.
 """
 
 import ast

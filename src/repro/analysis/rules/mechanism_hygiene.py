@@ -6,11 +6,12 @@ mechanism layer itself (``core/pipeline.py``, ``core/inplace.py``,
 ``core/migration.py``, ``core/timings.py``).  Everybody else must go
 through :class:`repro.core.pipeline.StagePlan`.
 
-This is the teeth of the staged-pipeline refactor: before it, three
-consumers (the cluster executor, the fleet controller and the
-orchestrator policy) each re-summed the phase helpers in their own
-float-association and drifted apart by design.  A helper call outside
-the pipeline layer is a fourth cost path waiting to happen.
+This is the teeth of the staged-pipeline refactor: before it, each
+consumer (the fleet controller, whose sequential-groups configuration is
+the Fig. 13 campaign, and the orchestrator policy) re-summed the phase
+helpers in its own float-association and drifted apart by design.  A
+helper call outside the pipeline layer is a second cost path waiting to
+happen.
 """
 
 import ast

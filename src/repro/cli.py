@@ -49,6 +49,15 @@ def _spec(value: str):
         )
 
 
+def _fractions(value: str) -> List[float]:
+    try:
+        return [float(f) for f in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypertp",
@@ -95,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("vulns", help="print Table 1 from the dataset")
 
     cluster = sub.add_parser("cluster", help="run the Fig. 13 sweep")
-    cluster.add_argument("--fractions", default="0,0.2,0.4,0.6,0.8",
+    cluster.add_argument("--fractions", type=_fractions,
+                         default="0,0.2,0.4,0.6,0.8",
                          help="comma-separated InPlaceTP shares")
     cluster.add_argument("--hosts", type=int, default=10)
     cluster.add_argument("--vms-per-host", type=int, default=10)
@@ -310,7 +320,7 @@ def cmd_inplace(args) -> int:
           f"UISR {report.uisr_bytes / 1024:.1f} KiB, guests intact: "
           f"{report.guest_digests_preserved}")
     if args.trace:
-        from repro.sim.trace import trace_inplace
+        from repro.obs import trace_inplace
 
         with open(args.trace, "w") as handle:
             handle.write(trace_inplace(report).to_chrome_trace())
@@ -396,27 +406,29 @@ def cmd_vulns(_args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from repro.cluster import BtrPlacePlanner, UpgradeCampaign, encode_plan
+    from repro.bench.runner import cluster_fraction_cell
+    from repro.cluster import BtrPlacePlanner, encode_plan
     from repro.cluster.model import build_paper_cluster
+    from repro.fleet import FleetConfig
 
-    fractions = [float(f) for f in args.fractions.split(",")]
-    campaign = UpgradeCampaign(hosts=args.hosts,
-                               vms_per_host=args.vms_per_host)
-    results = campaign.sweep(fractions)
-    gains = UpgradeCampaign.time_gains(results)
+    results = [cluster_fraction_cell({"fraction": fraction,
+                                      "hosts": args.hosts,
+                                      "vms_per_host": args.vms_per_host})
+               for fraction in args.fractions]
     print(f"Cluster upgrade sweep ({args.hosts} hosts x "
           f"{args.vms_per_host} VMs):")
-    for result, gain in zip(results, gains):
-        print(f"  {result.inplace_fraction:>5.0%}: "
-              f"{result.migration_count:4d} migrations, "
-              f"{result.total_minutes:6.1f} min, gain {gain:4.0%}")
+    for result in results:
+        gain = 1.0 - result["total_s"] / results[0]["total_s"]
+        print(f"  {result['fraction']:>5.0%}: "
+              f"{result['migration_count']:4d} migrations, "
+              f"{result['total_minutes']:6.1f} min, gain {gain:4.0%}")
     if args.export_plan:
         cluster = build_paper_cluster(
             hosts=args.hosts, vms_per_host=args.vms_per_host,
-            inplace_fraction=args.export_fraction, seed=campaign.seed,
+            inplace_fraction=args.export_fraction, seed=FleetConfig.seed,
         )
-        plan = BtrPlacePlanner(cluster,
-                               group_size=campaign.group_size).plan(apply=False)
+        plan = BtrPlacePlanner(
+            cluster, group_size=FleetConfig.group_size).plan(apply=False)
         blob = encode_plan(plan)
         with open(args.export_plan, "wb") as handle:
             handle.write(blob)
@@ -485,7 +497,6 @@ def _journaled_fleet_result(args, payload):
 def cmd_fleet(args) -> int:
     import json
 
-    from repro.errors import FleetError, JournalCrash, JournalError, ParError
     from repro.par import merge_traces, run_fleet_campaign
     from repro.vulndb.data import load_default_database
 
@@ -522,17 +533,10 @@ def cmd_fleet(args) -> int:
         print("fleet: a journaled campaign runs inline; drop --workers",
               file=sys.stderr)
         return 2
-    try:
-        if journaling:
-            result = _journaled_fleet_result(args, payload)
-        else:
-            result = run_fleet_campaign(payload, workers=args.workers)
-    except JournalCrash as crash:
-        print(f"fleet: {crash}", file=sys.stderr)
-        return 3
-    except (FleetError, ParError, JournalError) as error:
-        print(f"fleet: {error}", file=sys.stderr)
-        return 2
+    if journaling:
+        result = _journaled_fleet_result(args, payload)
+    else:
+        result = run_fleet_campaign(payload, workers=args.workers)
 
     document = result["document"]
     campaign, window = document["campaign"], document["window"]
@@ -593,7 +597,6 @@ def cmd_fleet(args) -> int:
 def cmd_trace(args) -> int:
     import json
 
-    from repro.errors import FleetError, ParError
     from repro.par import merge_traces, run_fleet_campaign
 
     payload = {
@@ -612,11 +615,7 @@ def cmd_trace(args) -> int:
         "trace": True,
         "metrics": True,
     }
-    try:
-        result = run_fleet_campaign(payload, workers=args.workers)
-    except (FleetError, ParError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
+    result = run_fleet_campaign(payload, workers=args.workers)
 
     trace = merge_traces([("fleet", result["spans"])], prefix=False)
     document = trace.to_chrome_trace()
@@ -641,7 +640,6 @@ def cmd_sentinel(args) -> int:
     import json
     import os
 
-    from repro.errors import ParError, SentinelError, VulnDBError
     from repro.par import merge_traces, run_sentinel
     from repro.sentinel import (
         DAY_S,
@@ -651,70 +649,61 @@ def cmd_sentinel(args) -> int:
     )
 
     pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
-    try:
-        config = SentinelConfig(
-            hosts=args.hosts,
-            vms_per_host=args.vms_per_host,
-            group_size=args.group_size,
-            mechanism=args.mechanism,
+    config = SentinelConfig(
+        hosts=args.hosts,
+        vms_per_host=args.vms_per_host,
+        group_size=args.group_size,
+        mechanism=args.mechanism,
+        seed=args.seed,
+        current_hypervisor=args.current.value,
+        pool=pool,
+        feed=FeedSchedule(
             seed=args.seed,
-            current_hypervisor=args.current.value,
-            pool=pool,
-            feed=FeedSchedule(
-                seed=args.seed,
-                mean_gap_days=args.mean_gap_days,
-                batch_probability=args.batch,
-                duplicate_probability=args.duplicates,
-                out_of_order_probability=args.out_of_order,
-                limit=args.limit,
-            ),
-            policy=PolicyConfig(
-                severity_gate=args.gate,
-                patch_application_days=args.patch_days,
-                return_transplant=not args.no_return,
-                maintenance_window_every_s=args.maintenance_every_h * 3600.0,
-                maintenance_window_length_s=args.maintenance_length_h
-                * 3600.0,
-            ),
-        )
-    except SentinelError as error:
-        print(f"sentinel: {error}", file=sys.stderr)
-        return 2
+            mean_gap_days=args.mean_gap_days,
+            batch_probability=args.batch,
+            duplicate_probability=args.duplicates,
+            out_of_order_probability=args.out_of_order,
+            limit=args.limit,
+        ),
+        policy=PolicyConfig(
+            severity_gate=args.gate,
+            patch_application_days=args.patch_days,
+            return_transplant=not args.no_return,
+            maintenance_window_every_s=args.maintenance_every_h * 3600.0,
+            maintenance_window_length_s=args.maintenance_length_h * 3600.0,
+        ),
+    )
     if args.journal_dir and args.workers > 1:
         print("sentinel: journaled campaigns run inline; drop --workers",
               file=sys.stderr)
         return 2
-    try:
-        if args.journal_dir:
-            # Journal handles cannot cross the worker pipe: run inline,
-            # returning the same result shape as the pooled path.
-            from repro.obs import MetricsRegistry, Tracer
-            from repro.par.shard import spans_to_payload
-            from repro.sentinel import Sentinel
+    if args.journal_dir:
+        # Journal handles cannot cross the worker pipe: run inline,
+        # returning the same result shape as the pooled path.
+        from repro.obs import MetricsRegistry, Tracer
+        from repro.par.shard import spans_to_payload
+        from repro.sentinel import Sentinel
 
-            os.makedirs(args.journal_dir, exist_ok=True)
-            tracer = Tracer() if args.trace_path else None
-            registry = MetricsRegistry() if args.metrics_path else None
-            kwargs = {"journal_dir": args.journal_dir}
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            if registry is not None:
-                kwargs["registry"] = registry
-            report = Sentinel(config, **kwargs).run()
-            result = {"document": report.to_dict()}
-            if tracer is not None:
-                result["spans"] = spans_to_payload(tracer.trace)
-            if registry is not None:
-                result["registry"] = registry.snapshot()
-        else:
-            result = run_sentinel({
-                "config": config.to_payload(),
-                "trace": bool(args.trace_path),
-                "metrics": bool(args.metrics_path),
-            }, workers=args.workers)
-    except (SentinelError, VulnDBError, ParError) as error:
-        print(f"sentinel: {error}", file=sys.stderr)
-        return 2
+        os.makedirs(args.journal_dir, exist_ok=True)
+        tracer = Tracer() if args.trace_path else None
+        registry = MetricsRegistry() if args.metrics_path else None
+        kwargs = {"journal_dir": args.journal_dir}
+        if tracer is not None:
+            kwargs["tracer"] = tracer
+        if registry is not None:
+            kwargs["registry"] = registry
+        report = Sentinel(config, **kwargs).run()
+        result = {"document": report.to_dict()}
+        if tracer is not None:
+            result["spans"] = spans_to_payload(tracer.trace)
+        if registry is not None:
+            result["registry"] = registry.snapshot()
+    else:
+        result = run_sentinel({
+            "config": config.to_payload(),
+            "trace": bool(args.trace_path),
+            "metrics": bool(args.metrics_path),
+        }, workers=args.workers)
 
     document = result["document"]
     counters, windows = document["counters"], document["windows"]
@@ -781,7 +770,6 @@ def cmd_lint(args) -> int:
     import os
 
     from repro.analysis import (
-        BaselineError,
         Project,
         all_rules,
         load_baseline,
@@ -792,7 +780,6 @@ def cmd_lint(args) -> int:
         run_analysis,
         write_baseline,
     )
-    from repro.analysis.engine import AnalysisError
 
     if args.list_rules:
         for rule in all_rules():
@@ -819,11 +806,7 @@ def cmd_lint(args) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        findings, suppressed = run_analysis(project, rule_names=args.rule)
-    except AnalysisError as error:
-        print(f"lint: {error}", file=sys.stderr)
-        return 2
+    findings, suppressed = run_analysis(project, rule_names=args.rule)
 
     if args.write_baseline:
         write_baseline(args.write_baseline, findings)
@@ -833,12 +816,8 @@ def cmd_lint(args) -> int:
 
     baselined = []
     if args.baseline:
-        try:
-            baseline_ids = load_baseline(args.baseline)
-        except BaselineError as error:
-            print(f"lint: {error}", file=sys.stderr)
-            return 2
-        findings, baselined = partition(findings, baseline_ids)
+        findings, baselined = partition(findings,
+                                        load_baseline(args.baseline))
 
     fmt = args.format or ("json" if args.as_json else "text")
     if fmt == "json":
@@ -867,8 +846,23 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; library errors exit 2, injected crashes 3.
+
+    Every :class:`~repro.errors.ReproError` a subcommand lets escape is
+    a typed input or configuration failure, reported as one
+    ``command: message`` line on stderr instead of a traceback.
+    """
+    from repro.errors import JournalCrash, ReproError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except JournalCrash as crash:
+        print(f"{args.command}: {crash}", file=sys.stderr)
+        return 3
+    except ReproError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

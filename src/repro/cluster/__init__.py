@@ -4,16 +4,16 @@
 * :mod:`btrplace` — a BtrPlace-style reconfiguration planner: offline-group
   constraints produce migration plans.
 * :mod:`plan` — plan data structures (actions, ordering).
-* :mod:`executor` — executes plans on the simulated cluster, timing them.
-* :mod:`upgrade` — whole-cluster upgrade campaigns mixing InPlaceTP and
-  MigrationTP, reproducing Fig. 13.
+* :mod:`serialize` — framed plan blobs for export and import.
+
+Plans are executed and timed by :class:`repro.fleet.FleetController`; the
+Fig. 13 campaign is its sequential-groups configuration with no admission
+cap and no verify stage (:func:`repro.bench.runner.cluster_fraction_cell`).
 """
 
 from repro.cluster.model import Cluster, ClusterNode, ClusterVM, WorkloadKind
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.cluster.plan import MigrationAction, InPlaceAction, ReconfigurationPlan
-from repro.cluster.executor import PlanExecutor, ExecutionResult
-from repro.cluster.upgrade import UpgradeCampaign, CampaignResult
 from repro.cluster.serialize import (
     decode_plan,
     encode_plan,
@@ -36,8 +36,4 @@ __all__ = [
     "MigrationAction",
     "InPlaceAction",
     "ReconfigurationPlan",
-    "PlanExecutor",
-    "ExecutionResult",
-    "UpgradeCampaign",
-    "CampaignResult",
 ]

@@ -5,8 +5,8 @@ The paper's testbed: 10 physical hosts, each with 2x Xeon E5-2630 v3 and
 mix: 30 % video-streaming servers, 30 % CPU+memory-intensive, 40 % idle.
 
 This module models placement abstractly (names and sizes) so the planner
-can reason about thousands of VMs; the executor maps plan actions onto the
-full simulated machinery when timing is needed.
+can reason about thousands of VMs; the fleet controller prices plan
+actions through the staged pipeline when timing is needed.
 """
 
 import enum

@@ -1,8 +1,8 @@
 """Reconfiguration plans: ordered migration and host-upgrade actions.
 
-A plan is what the BtrPlace-style planner emits and the executor consumes.
-Actions carry enough information (VM size, workload, endpoints) for the
-executor to time them against the migration cost model.
+A plan is what the BtrPlace-style planner emits and the fleet controller
+executes.  Actions carry enough information (VM size, workload, endpoints)
+for the staged pipeline to price them.
 """
 
 from dataclasses import dataclass, field

@@ -16,12 +16,12 @@ Every transplant mechanism decomposes into the same six stages::
   the VM paused, restore is the destination VMM's activation.  Downtime =
   translate + transfer + restore — the stop-and-copy.
 
-The planners (:mod:`repro.cluster.executor`), the fleet control plane
-(:mod:`repro.fleet.controller`) and the orchestrator policy all derive
-their per-action durations from these plans, so fleet-scale numbers are
-*the same floats* `HyperTP.upgrade_host` predicts — there is no second,
+The fleet control plane (:mod:`repro.fleet.controller`, which also runs
+the Fig. 13 campaign) and the orchestrator policy derive their
+per-action durations from these plans, so fleet-scale numbers are *the
+same floats* `HyperTP.upgrade_host` predicts — there is no second,
 silently drifting cost path (the pre-refactor drift this module removed:
-three consumers each re-summed the phase helpers in their own order).
+each consumer re-summed the phase helpers in its own order).
 
 Float discipline: a :class:`StagePlan`'s ``total_s`` is composed in the
 mechanism's calibrated association — InPlaceTP folds the stages left to

@@ -10,8 +10,8 @@ Since the staged-pipeline refactor, HyperTP is a thin composer: the
 mechanism objects (:class:`InPlaceTP`, :class:`MigrationTP`) simulate
 execution, and :meth:`HyperTP.upgrade_host` composes their shared stage
 protocol (:mod:`repro.core.pipeline`) into a per-host plan — the same
-:class:`~repro.core.pipeline.StagePlan` floats the cluster executor and
-fleet control plane run on.
+:class:`~repro.core.pipeline.StagePlan` floats the fleet control plane
+(and with it the Fig. 13 campaign) runs on.
 """
 
 from dataclasses import dataclass, field
@@ -162,9 +162,9 @@ class HyperTP:
         ``vm_count``/``total_memory_bytes`` describe the riders.  The
         returned :class:`HostUpgradePlan` carries one MigrationTP
         :class:`~repro.core.pipeline.StagePlan` per evacuee plus the
-        host's InPlaceTP plan — the exact floats the cluster executor
-        and the fleet control plane charge for the same actions, which
-        is what the fleet/core parity test pins.
+        host's InPlaceTP plan — the exact floats the fleet control plane
+        charges for the same actions, which is what the fleet/core parity
+        test pins.
         """
         pipelines = TransplantPipelines(
             machine=machine, node_spec=node_spec, link_rate=link_rate,

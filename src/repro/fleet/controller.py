@@ -15,11 +15,12 @@ resources (the shared migration fabric, per-node capacity slots, per-VM
 move locks, the admission cap) are FIFO wait queues that wake exactly one
 waiter per release, so a campaign schedules O(events log events) with no
 per-host polling.  The degenerate configuration — no failures,
-``sequential_groups=True``, unbounded concurrency — reproduces the
-:class:`repro.cluster.upgrade.UpgradeCampaign` (Fig. 13) total because it
-times the identical plan with the identical staged pipeline
-(:mod:`repro.core.pipeline`) — fleet per-host durations are the same
-floats ``HyperTP.upgrade_host`` composes, stage by stage.
+``sequential_groups=True``, unbounded concurrency, no verify stage — is
+the Fig. 13 campaign (:func:`repro.bench.runner.cluster_fraction_cell`):
+each wave's evacuations run back-to-back on the fabric, then its hosts
+micro-reboot in parallel.  Per-host durations come from the staged
+pipeline (:mod:`repro.core.pipeline`) — the same floats
+``HyperTP.upgrade_host`` composes, stage by stage.
 """
 
 import gc
@@ -31,7 +32,6 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import cluster_link_rate
 from repro.cluster.model import Cluster, build_paper_cluster
 from repro.cluster.plan import InPlaceAction, MigrationAction
 from repro.core.mechanisms import (
@@ -41,7 +41,13 @@ from repro.core.mechanisms import (
     decide_fleet,
     mechanism_mix,
 )
-from repro.core.pipeline import Stage, StagePlan, TransplantPipelines, VerifySpec
+from repro.core.pipeline import (
+    Stage,
+    StagePlan,
+    TransplantPipelines,
+    VerifySpec,
+    fabric_link_rate,
+)
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 from repro.fleet.metrics import FleetMetrics, collect_metrics
@@ -211,7 +217,7 @@ class FleetController:
                 )
             self.target_kind = HypervisorKind(self.advice.recommended_target)
         self._machine = Machine(node_spec, name="fleet-reference")
-        self._link_rate = cluster_link_rate(node_spec)
+        self._link_rate = fabric_link_rate(node_spec)
         # The one cost path: per-host durations come from the same staged
         # pipeline HyperTP.upgrade_host composes, verify stage included.
         self._pipelines = TransplantPipelines(

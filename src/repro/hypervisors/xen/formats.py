@@ -27,7 +27,7 @@ from repro.guest.devices import (
     XSAVEState,
 )
 from repro.guest.vcpu import SegmentDescriptor, VCPUState
-from repro.hypervisors.state import Packer, Unpacker
+from repro.io.frames import Packer, Unpacker
 
 # Record typecodes (HVM_SAVE_CODE analogues).
 REC_HEADER = 1

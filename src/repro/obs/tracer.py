@@ -4,8 +4,7 @@ A :class:`Tracer` opens live spans around code as it runs on the simulated
 clock — as a context manager (``with tracer.span("Reboot", "downtime")``) or
 a decorator (:func:`traced`) — and also accepts precomputed spans via
 :meth:`Tracer.add` for timelines that are calculated rather than simulated
-(pre-copy round plans, executor cost models, post-run state-transition
-logs).
+(pre-copy round plans, stage plans, post-run state-transition logs).
 
 The clock is a zero-argument callable; components bind it to whatever
 drives them (``lambda: engine.now``, ``lambda: clock.now``) via

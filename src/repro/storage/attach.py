@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from repro.guest.drivers import EmulatedDriver
 from repro.guest.vm import VirtualMachine
-from repro.hypervisors.state import Packer, Unpacker
+from repro.io.frames import Packer, Unpacker
 from repro.storage.remote import RemoteBlockStore, StorageError, Volume
 
 

@@ -150,7 +150,7 @@ class TestUISRFieldCoverage:
 
 # -- codec-symmetry -----------------------------------------------------------
 
-CODEC_HEADER = "from repro.hypervisors.state import Packer, Unpacker\n"
+CODEC_HEADER = "from repro.io.frames import Packer, Unpacker\n"
 
 
 class TestCodecSymmetry:

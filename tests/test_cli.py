@@ -99,6 +99,30 @@ class TestReportingCommands:
         out = capsys.readouterr().out
         assert "8.5 KLOC" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--hosts", "0"], "cluster: need >= 1 host"),
+        (["--hosts", "1"], "cluster: no live nodes"),
+        (["--fractions", "1.5"], "cluster: bad inplace fraction 1.5"),
+        (["--fractions", "-0.2"], "cluster: bad inplace fraction -0.2"),
+        (["--fractions", "x"], "hypertp cluster: error: argument --fractions"),
+    ])
+    def test_cluster_bad_input_exits_2(self, argv, message, capsys):
+        """Bad input exits 2 with one typed line, never a traceback.
+
+        A non-number never reaches the command: argparse rejects it with
+        its own exit 2, after the usage banner.
+        """
+        try:
+            code = main(["cluster", *argv])
+        except SystemExit as stop:
+            code = stop.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        if message.startswith("cluster: "):
+            assert err.count("\n") == 1
+        assert err.splitlines()[-1].startswith(message)
+
 
 class TestFleetCommand:
     def test_default_run(self, capsys):

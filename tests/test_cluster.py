@@ -1,10 +1,10 @@
-"""Tests for the cluster model, BtrPlace planner, executor and campaigns."""
+"""Tests for the cluster model, BtrPlace planner and the Fig. 13 campaign."""
 
 import pytest
 
+from repro.bench.runner import cluster_fraction_cell
 from repro.errors import ClusterError, PlanningError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import (
     Cluster,
     ClusterNode,
@@ -12,8 +12,10 @@ from repro.cluster.model import (
     WorkloadKind,
     build_paper_cluster,
 )
-from repro.cluster.plan import MigrationAction
-from repro.cluster.upgrade import UpgradeCampaign
+from repro.cluster.plan import InPlaceAction, MigrationAction
+from repro.core.pipeline import TransplantPipelines
+from repro.fleet import FleetConfig, FleetController
+from repro.hypervisors.base import HypervisorKind
 
 GIB = 1024 ** 3
 
@@ -127,41 +129,68 @@ class TestPlanner:
 
 
 class TestExecutor:
+    """Plan actions as the fleet controller executes them: each priced by
+    the staged pipeline, every action of the plan charged once."""
+
     def test_streaming_migrations_slower_than_idle(self):
-        executor = PlanExecutor()
-        idle = executor.migration_time_s(MigrationAction(
+        migration = TransplantPipelines().migration(HypervisorKind.KVM)
+
+        def seconds(action):
+            return migration.plan_vm(action.vm_name, action.memory_bytes,
+                                     action.workload.dirty_rate_bytes_s
+                                     ).total_s
+
+        idle = seconds(MigrationAction(
             "a", "n0", "n1", 4 * GIB, WorkloadKind.IDLE))
-        streaming = executor.migration_time_s(MigrationAction(
+        streaming = seconds(MigrationAction(
             "b", "n0", "n1", 4 * GIB, WorkloadKind.STREAMING))
         assert streaming > idle
 
     def test_upgrade_seconds_scale(self):
-        from repro.cluster.plan import InPlaceAction
+        inplace = TransplantPipelines().inplace(HypervisorKind.KVM)
 
-        executor = PlanExecutor()
-        empty = executor.upgrade_time_s(InPlaceAction("n0", 0, 0))
-        loaded = executor.upgrade_time_s(InPlaceAction("n0", 10, 40 * GIB))
+        def seconds(action):
+            return inplace.plan_host(action.node_name, action.vm_count,
+                                     action.total_memory_bytes).total_s
+
+        empty = seconds(InPlaceAction("n0", 0, 0))
+        loaded = seconds(InPlaceAction("n0", 10, 40 * GIB))
         assert loaded > empty
         assert loaded < 30  # hosts upgrade in seconds, not minutes
 
     def test_execution_accounts_all_actions(self):
-        cluster = build_paper_cluster(inplace_fraction=0.5)
-        plan = BtrPlacePlanner(cluster).plan()
-        result = PlanExecutor().execute(plan)
-        assert result.migration_count == plan.migration_count
-        assert len(result.per_migration_s) == plan.migration_count
-        assert result.total_s == pytest.approx(
-            result.migration_s + result.upgrade_s
-        )
+        plan = BtrPlacePlanner(
+            build_paper_cluster(inplace_fraction=0.5)).plan()
+        config = FleetConfig(inplace_fraction=0.5, sequential_groups=True,
+                             concurrency=None, verify_fixed_s=0.0,
+                             verify_per_vm_s=0.0)
+        controller = FleetController(config)
+        metrics = controller.run()
+        assert metrics.migrations_executed == plan.migration_count
+        assert sum(len(hp.evacuations) for hp in controller.host_plans) \
+            == plan.migration_count
+        assert len(controller.host_plans) == plan.upgrade_count
+        # Waves in sequence: each wave's evacuations back-to-back, then
+        # its slowest micro-reboot.
+        waves = {}
+        for hp in controller.host_plans:
+            evacuation_s, reboot_s = waves.get(hp.wave, (0.0, 0.0))
+            waves[hp.wave] = (
+                evacuation_s + sum(p.total_s for _, _, p in hp.evacuations),
+                max(reboot_s, hp.plan.total_s),
+            )
+        assert metrics.fleet_window_s == pytest.approx(
+            sum(e + r for e, r in waves.values()))
 
 
 class TestCampaign:
     def test_fig13_shape(self):
-        campaign = UpgradeCampaign()
-        results = campaign.sweep([0.0, 0.2, 0.4, 0.6, 0.8])
-        gains = UpgradeCampaign.time_gains(results)
-        counts = [r.migration_count for r in results]
-        assert counts == sorted(counts, reverse=True)
+        results = [cluster_fraction_cell({"fraction": f})
+                   for f in (0.0, 0.2, 0.4, 0.6, 0.8)]
+        baseline_s = results[0]["total_s"]
+        gains = [1.0 - r["total_s"] / baseline_s for r in results]
+        counts = [r["migration_count"] for r in results]
+        assert counts == [162, 129, 96, 64, 31]
         assert gains == sorted(gains)
         # Paper anchors: ~17 % gain at 20 %, ~80 % at 80 %.
         assert gains[1] == pytest.approx(0.17, abs=0.07)
@@ -169,9 +198,9 @@ class TestCampaign:
 
     def test_80_percent_total_minutes_near_paper(self):
         # Paper: 3 min 54 s at 80 % InPlaceTP share.
-        result = UpgradeCampaign().run(0.8)
-        assert 2.0 <= result.total_minutes <= 6.0
+        result = cluster_fraction_cell({"fraction": 0.8})
+        assert 2.0 <= result["total_minutes"] <= 6.0
 
     def test_all_migration_takes_many_minutes(self):
-        result = UpgradeCampaign().run(0.0)
-        assert 8.0 <= result.total_minutes <= 20.0
+        result = cluster_fraction_cell({"fraction": 0.0})
+        assert 8.0 <= result["total_minutes"] <= 20.0

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import FleetError
-from repro.cluster.executor import PlanExecutor
-from repro.cluster.plan import InPlaceAction, MigrationAction
-from repro.cluster.model import WorkloadKind
-from repro.cluster.upgrade import UpgradeCampaign
+from repro.bench.runner import cluster_fraction_cell
+from repro.errors import FleetError, PlanningError
+from repro.cluster.btrplace import BtrPlacePlanner
+from repro.cluster.model import build_paper_cluster
+from repro.core.pipeline import TransplantPipelines
 from repro.fleet import (
     FailureInjector,
     FailurePhase,
@@ -21,10 +23,9 @@ from repro.fleet import (
 )
 from repro.fleet.simsync import FifoSemaphore, FleetProcess, Gate, Latch
 from repro.fleet.state import HostRecord, Transition
+from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-
-GIB = 1024 ** 3
 
 
 def run_campaign(fail_rate=0.0, retry=None, **overrides):
@@ -40,33 +41,95 @@ def run_campaign(fail_rate=0.0, retry=None, **overrides):
     return controller, controller.run()
 
 
-# -- executor on the staged pipeline ------------------------------------------
+def fig13_reference(hosts, vms_per_host, fraction, group_size=2, seed=42):
+    """Fig. 13 as a closed-form sum over the BtrPlace plan.
+
+    Waves run one after another; a wave's evacuations run back-to-back
+    on the shared fabric, then its hosts micro-reboot in parallel.  Each
+    action is priced by the staged pipeline, no verify stage.  Returns
+    ``(migration_count, total_s)``.
+    """
+    cluster = build_paper_cluster(hosts=hosts, vms_per_host=vms_per_host,
+                                  inplace_fraction=fraction, seed=seed)
+    plan = BtrPlacePlanner(cluster, group_size=group_size).plan(apply=True)
+    pipelines = TransplantPipelines()
+    migration = pipelines.migration(HypervisorKind.KVM)
+    inplace = pipelines.inplace(HypervisorKind.KVM)
+    total_s = 0.0
+    for group in plan.groups:
+        for action in group.migrations:
+            total_s += migration.plan_vm(
+                action.vm_name, action.memory_bytes,
+                action.workload.dirty_rate_bytes_s).total_s
+        total_s += max((inplace.plan_host(a.node_name, a.vm_count,
+                                          a.total_memory_bytes).total_s
+                        for a in group.upgrades), default=0.0)
+    return plan.migration_count, total_s
+
+
+# -- the Fig. 13 campaign on the staged pipeline -------------------------------
 
 class TestExecutorCostFunctions:
     def test_executor_delegates_to_stage_plans(self):
-        executor = PlanExecutor()
-        migration = MigrationAction(
-            vm_name="vm0", source="a", destination="b",
-            memory_bytes=4 * GIB, workload=WorkloadKind.STREAMING,
-        )
-        upgrade = InPlaceAction(node_name="a", vm_count=5,
-                                total_memory_bytes=20 * GIB)
-        assert (executor.migration_time_s(migration)
-                == executor.migration_plan(migration).total_s)
-        assert (executor.upgrade_time_s(upgrade)
-                == executor.upgrade_plan(upgrade).total_s)
+        """The Fig. 13 campaign charges exactly the pipeline's stage plans."""
+        config = FleetConfig(hosts=6, vms_per_host=4, inplace_fraction=0.5,
+                             seed=11, sequential_groups=True,
+                             concurrency=None, verify_fixed_s=0.0,
+                             verify_per_vm_s=0.0)
+        controller = FleetController(config)
+        controller.run()
+        pipelines = TransplantPipelines()
+        migration = pipelines.migration(controller.target_kind)
+        inplace = pipelines.inplace(controller.target_kind)
+        evacuations = 0
+        for hp in controller.host_plans:
+            upgrade = hp.upgrade
+            assert hp.plan.total_s == inplace.plan_host(
+                upgrade.node_name, upgrade.vm_count,
+                upgrade.total_memory_bytes).total_s
+            for action, _, plan in hp.evacuations:
+                evacuations += 1
+                assert plan.total_s == migration.plan_vm(
+                    action.vm_name, action.memory_bytes,
+                    action.workload.dirty_rate_bytes_s).total_s
+        assert evacuations > 0
 
     def test_campaign_results_unchanged(self):
         # Pinned against the seed's Fig. 13 behaviour: the refactor must not
         # move a single migration or second.
-        campaign = UpgradeCampaign()
-        results = campaign.sweep([0.0, 0.8])
-        assert results[0].migration_count == 162
-        assert results[1].migration_count == 31
-        assert results[0].total_s == pytest.approx(748.99, abs=0.01)
-        assert results[1].total_s == pytest.approx(175.70, abs=0.01)
-        gains = UpgradeCampaign.time_gains(results)
-        assert gains[1] == pytest.approx(0.765, abs=0.005)
+        results = [cluster_fraction_cell({"fraction": f}) for f in (0.0, 0.8)]
+        assert results[0]["migration_count"] == 162
+        assert results[1]["migration_count"] == 31
+        assert results[0]["total_s"] == pytest.approx(748.99, abs=0.01)
+        assert results[1]["total_s"] == pytest.approx(175.70, abs=0.01)
+        gain = 1.0 - results[1]["total_s"] / results[0]["total_s"]
+        assert gain == pytest.approx(0.765, abs=0.005)
+
+    @given(
+        hosts=st.integers(min_value=2, max_value=30),
+        vms_per_host=st.integers(min_value=1, max_value=12),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cell_matches_closed_form_reference(self, hosts, vms_per_host,
+                                                fraction, seed, data):
+        group_size = data.draw(st.integers(min_value=1, max_value=hosts - 1))
+        payload = {"fraction": fraction, "hosts": hosts,
+                   "vms_per_host": vms_per_host, "group_size": group_size,
+                   "seed": seed}
+        try:
+            migrations, total_s = fig13_reference(
+                hosts, vms_per_host, fraction, group_size, seed)
+        except PlanningError:
+            # Too little spare capacity: both engines must refuse the plan.
+            with pytest.raises(PlanningError):
+                cluster_fraction_cell(payload)
+            return
+        cell = cluster_fraction_cell(payload)
+        assert cell["migration_count"] == migrations
+        assert cell["total_s"] == pytest.approx(total_s, rel=1e-9)
 
 
 # -- sync primitives ----------------------------------------------------------
@@ -274,11 +337,10 @@ class TestWindowInvariant:
 
 class TestExecutorCompat:
     def test_degenerate_config_matches_upgrade_campaign(self):
-        """No failures + sequential groups reproduces Fig. 13 within 1 %."""
+        """No failures + sequential groups reproduces the Fig. 13 upgrade
+        campaign within 1 %, verify stage included."""
         for fraction in (0.0, 0.4, 0.8):
-            campaign = UpgradeCampaign(hosts=10, vms_per_host=10,
-                                       group_size=2, seed=42)
-            reference = campaign.run(fraction)
+            migrations, total_s = fig13_reference(10, 10, fraction)
             config = FleetConfig(
                 hosts=10, vms_per_host=10, inplace_fraction=fraction,
                 group_size=2, seed=42, sequential_groups=True,
@@ -286,10 +348,8 @@ class TestExecutorCompat:
             )
             metrics = FleetController(config).run()
             assert metrics.done_hosts == 10
-            assert metrics.migrations_executed == reference.migration_count
-            assert metrics.fleet_window_s == pytest.approx(
-                reference.total_s, rel=0.01
-            )
+            assert metrics.migrations_executed == migrations
+            assert metrics.fleet_window_s == pytest.approx(total_s, rel=0.01)
 
 
 class TestFailureInjection:

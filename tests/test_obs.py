@@ -372,39 +372,6 @@ class TestMigrationTracing:
         json.loads(tracer.to_chrome_trace())
 
 
-class TestExecutorTracing:
-    def test_group_spans_sum_to_result(self):
-        from repro.cluster.btrplace import BtrPlacePlanner
-        from repro.cluster.executor import PlanExecutor
-        from repro.cluster.model import build_paper_cluster
-
-        cluster = build_paper_cluster(hosts=4, vms_per_host=4, seed=3)
-        plan = BtrPlacePlanner(cluster, group_size=2).plan()
-        tracer = Tracer()
-        result = PlanExecutor(tracer=tracer).execute(plan)
-        groups = [s for s in tracer.trace.spans if s.category == "plan"]
-        assert len(groups) == len(result.per_group_s)
-        for span, expected in zip(groups, result.per_group_s):
-            assert span.duration_s == pytest.approx(expected)
-        assert groups[-1].end_s == pytest.approx(result.total_s)
-        migrations = [s for s in tracer.trace.spans
-                      if s.category == "migration"]
-        assert len(migrations) == result.migration_count
-
-    def test_untraced_result_identical(self):
-        from repro.cluster.btrplace import BtrPlacePlanner
-        from repro.cluster.executor import PlanExecutor
-        from repro.cluster.model import build_paper_cluster
-
-        def run(tracer):
-            cluster = build_paper_cluster(hosts=4, vms_per_host=4, seed=3)
-            plan = BtrPlacePlanner(cluster, group_size=2).plan()
-            kwargs = {} if tracer is None else {"tracer": tracer}
-            return PlanExecutor(**kwargs).execute(plan)
-
-        assert run(None).total_s == run(Tracer()).total_s
-
-
 class TestWorkloadMetrics:
     def test_series_reports_into_registry(self):
         from repro.workloads.base import HostTimeline

@@ -1,8 +1,8 @@
 """Tests for the staged transplant pipeline and the mechanism policy.
 
-The pipeline is the PR that removed the drift between three cost paths
-(cluster executor, fleet controller, orchestrator policy), so these
-tests are mostly about *equality*: the same floats must come out of
+The pipeline removed the drift between the per-action cost paths (the
+fleet controller, which also runs the Fig. 13 campaign, and the
+orchestrator policy), so these tests are mostly about *equality*: the same floats must come out of
 every layer, and the default campaign's artifacts must stay
 byte-identical to the pre-refactor goldens.
 """
@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.cluster.executor import PlanExecutor, cluster_link_rate
 from repro.cluster.model import build_paper_cluster
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.core.mechanisms import (
@@ -37,7 +36,6 @@ from repro.core.timings import DEFAULT_COST_MODEL
 from repro.core.transplant import HyperTP
 from repro.errors import FleetError, TransplantError
 from repro.fleet import FleetConfig, FleetController
-from repro.hw.machine import CLUSTER_NODE_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 
@@ -131,8 +129,10 @@ class TestStagePlan:
 
 class TestExecutorParity:
     def test_executor_times_equal_hypertp_upgrade_host(self):
-        """Cluster per-action times are HyperTP.upgrade_host's floats."""
-        executor = PlanExecutor()
+        """Plan actions priced by TransplantPipelines are
+        HyperTP.upgrade_host's floats."""
+        kind = HypervisorKind.KVM
+        pipelines = TransplantPipelines()
         hypertp = HyperTP()
         cluster = build_paper_cluster(hosts=10, vms_per_host=10,
                                       inplace_fraction=0.8, seed=42)
@@ -140,28 +140,27 @@ class TestExecutorParity:
         for group in plan.groups:
             for action in group.upgrades:
                 host_plan = hypertp.upgrade_host(
-                    action.node_name, executor.target_kind,
+                    action.node_name, kind,
                     vm_count=action.vm_count,
                     total_memory_bytes=action.total_memory_bytes,
                 )
-                assert (executor.upgrade_time_s(action)
+                assert (pipelines.inplace(kind).plan_host(
+                    action.node_name, action.vm_count,
+                    action.total_memory_bytes).total_s
                         == host_plan.inplace.total_s)
             for action in group.migrations:
                 host_plan = hypertp.upgrade_host(
-                    action.source, executor.target_kind,
+                    action.source, kind,
                     vm_count=0, total_memory_bytes=0,
                     evacuations=[EvacuationSpec(
                         action.vm_name, action.memory_bytes,
                         action.workload.dirty_rate_bytes_s,
                     )],
                 )
-                assert (executor.migration_time_s(action)
+                assert (pipelines.migration(kind).plan_vm(
+                    action.vm_name, action.memory_bytes,
+                    action.workload.dirty_rate_bytes_s).total_s
                         == host_plan.evacuations[0].total_s)
-
-    def test_cluster_link_rate_is_fabric_link_rate(self):
-        assert cluster_link_rate() == fabric_link_rate()
-        assert cluster_link_rate(CLUSTER_NODE_SPEC) == fabric_link_rate(
-            CLUSTER_NODE_SPEC)
 
 
 # -- fleet/core parity (acceptance criterion) ----------------------------------
@@ -223,31 +222,35 @@ class TestFleetParity:
                                      + reference.verify_s)
 
     def test_degenerate_fleet_pinned_against_both_references(self):
-        """Satellite: the sequential fleet matches UpgradeCampaign within
+        """The sequential fleet matches the closed-form Fig. 13 sum within
         1% AND HyperTP.upgrade_host exactly (the reconciled drift)."""
-        from repro.cluster.upgrade import UpgradeCampaign
+        from tests.test_fleet import fig13_reference
 
-        reference = UpgradeCampaign(hosts=10, vms_per_host=10,
-                                    group_size=2, seed=42).run(0.8)
+        migrations, total_s = fig13_reference(10, 10, 0.8)
         config = FleetConfig(hosts=10, vms_per_host=10,
                              inplace_fraction=0.8, group_size=2, seed=42,
                              sequential_groups=True, concurrency=None)
         controller = FleetController(config)
         metrics = controller.run()
         assert metrics.done_hosts == 10
-        assert metrics.migrations_executed == reference.migration_count == 31
-        assert metrics.fleet_window_s == pytest.approx(reference.total_s,
-                                                       rel=0.01)
+        assert metrics.migrations_executed == migrations == 31
+        assert metrics.fleet_window_s == pytest.approx(total_s, rel=0.01)
         # Pinned: the exact drift between the fleet and Fig. 13 is the
         # per-host verify stage, nothing else.  Every per-host duration
-        # matches HyperTP exactly (asserted via the executor, which the
-        # parity test above ties to upgrade_host).
-        executor = PlanExecutor()
+        # matches the verify-free pipeline exactly (which the parity test
+        # above ties to upgrade_host).
+        pipelines = TransplantPipelines()
+        inplace = pipelines.inplace(controller.target_kind)
+        migration = pipelines.migration(controller.target_kind)
         for hp in controller.host_plans:
-            assert hp.plan.execute_s == executor.upgrade_plan(
-                hp.upgrade).total_s
+            upgrade = hp.upgrade
+            assert hp.plan.execute_s == inplace.plan_host(
+                upgrade.node_name, upgrade.vm_count,
+                upgrade.total_memory_bytes).total_s
             for action, _, plan in hp.evacuations:
-                assert plan.total_s == executor.migration_time_s(action)
+                assert plan.total_s == migration.plan_vm(
+                    action.vm_name, action.memory_bytes,
+                    action.workload.dirty_rate_bytes_s).total_s
 
 
 # -- golden byte-identity (acceptance criterion) -------------------------------

@@ -13,8 +13,9 @@ from repro.cluster import (
     summarize_plan,
 )
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import build_paper_cluster
+from repro.core.pipeline import TransplantPipelines
+from repro.hypervisors.base import HypervisorKind
 from repro.workloads.base import MetricSeries
 
 
@@ -33,11 +34,25 @@ class TestPlanSerialization:
             [m.vm_name for m in plan.migrations()]
 
     def test_roundtrip_executes_identically(self):
+        """Every restored action prices to the original's exact floats."""
+        pipelines = TransplantPipelines()
+        migration = pipelines.migration(HypervisorKind.KVM)
+        inplace = pipelines.inplace(HypervisorKind.KVM)
+
+        def action_seconds(plan):
+            return (
+                [migration.plan_vm(a.vm_name, a.memory_bytes,
+                                   a.workload.dirty_rate_bytes_s).total_s
+                 for a in plan.migrations()],
+                [inplace.plan_host(a.node_name, a.vm_count,
+                                   a.total_memory_bytes).total_s
+                 for group in plan.groups for a in group.upgrades],
+            )
+
         plan = self._plan()
-        executor = PlanExecutor()
-        original = executor.execute(plan)
-        restored = executor.execute(import_plan(export_plan(plan)))
-        assert restored.total_s == pytest.approx(original.total_s)
+        original = action_seconds(plan)
+        assert original[0] and original[1]
+        assert action_seconds(import_plan(export_plan(plan))) == original
 
     def test_export_is_valid_json(self):
         document = json.loads(export_plan(self._plan()))

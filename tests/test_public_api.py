@@ -92,11 +92,12 @@ class TestDocumentationArtifacts:
             assert (root / doc).is_file(), f"{doc} missing"
 
     def test_public_classes_have_docstrings(self):
-        from repro import (HyperTP, InPlaceTP, LiveMigration, MigrationTP,
-                           NovaCompute, TransplantAdvisor, UpgradeCampaign)
+        from repro import (FleetController, HyperTP, InPlaceTP,
+                           LiveMigration, MigrationTP, NovaCompute,
+                           TransplantAdvisor)
 
-        for cls in (HyperTP, InPlaceTP, LiveMigration, MigrationTP,
-                    NovaCompute, TransplantAdvisor, UpgradeCampaign):
+        for cls in (FleetController, HyperTP, InPlaceTP, LiveMigration,
+                    MigrationTP, NovaCompute, TransplantAdvisor):
             assert cls.__doc__ and cls.__doc__.strip()
 
     def test_every_module_has_a_docstring(self):

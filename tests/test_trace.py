@@ -8,7 +8,7 @@ from repro.errors import ReproError
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.sim.trace import Span, Trace, trace_inplace, trace_migration
+from repro.obs import Span, Trace, trace_inplace, trace_migration
 from repro.bench.runner import make_host_pair, make_xen_host
 from repro.core.migration import MigrationTP
 from repro.core.transplant import HyperTP
