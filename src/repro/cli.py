@@ -115,29 +115,36 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--export-fraction", type=float, default=0.8,
                          help="InPlaceTP fraction of the exported plan")
 
+    # The flags every fleet campaign takes, shared by fleet and trace.
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--hosts", type=int, default=10)
+    campaign.add_argument("--vms-per-host", type=int, default=10)
+    campaign.add_argument("--inplace-fraction", type=float, default=0.8)
+    campaign.add_argument("--group-size", type=int, default=2)
+    campaign.add_argument("--seed", type=int, default=42)
+    campaign.add_argument("--concurrency", type=int, default=8,
+                          help="max hosts in flight at once (0 = unbounded)")
+    campaign.add_argument("--sequential-groups", action="store_true",
+                          help="strict Fig. 13 wave semantics (no overlap)")
+    campaign.add_argument("--fail-rate", type=float, default=0.0,
+                          help="per-phase failure-injection probability")
+    campaign.add_argument("--cve", default="CVE-2016-6258",
+                          help="triggering CVE id")
+    campaign.add_argument("--workers", type=int, default=1,
+                          help="route the campaign through the repro.par "
+                               "worker pool (output is byte-identical to "
+                               "--workers 1)")
+
     fleet = sub.add_parser(
-        "fleet",
+        "fleet", parents=[campaign],
         help="run a disclosure-to-remediation emergency campaign",
     )
-    fleet.add_argument("--hosts", type=int, default=10)
-    fleet.add_argument("--vms-per-host", type=int, default=10)
-    fleet.add_argument("--inplace-fraction", type=float, default=0.8)
-    fleet.add_argument("--group-size", type=int, default=2)
-    fleet.add_argument("--seed", type=int, default=42)
-    fleet.add_argument("--concurrency", type=int, default=8,
-                       help="max hosts in flight at once (0 = unbounded)")
     fleet.add_argument("--mechanism", default="hybrid",
                        choices=("inplace", "migration", "hybrid", "auto"),
                        help="per-host transplant mechanism policy "
                             "(§4.5.2): hybrid evacuates exactly the "
                             "InPlaceTP-incompatible VMs (default)")
-    fleet.add_argument("--sequential-groups", action="store_true",
-                       help="strict Fig. 13 wave semantics (no overlap)")
-    fleet.add_argument("--fail-rate", type=float, default=0.0,
-                       help="per-phase failure-injection probability")
     fleet.add_argument("--max-retries", type=int, default=3)
-    fleet.add_argument("--cve", default="CVE-2016-6258",
-                       help="triggering CVE id")
     fleet.add_argument("--current", type=_kind, default=HypervisorKind.XEN)
     fleet.add_argument("--pool", default="xen,kvm",
                        help="comma-separated hypervisor repertoire")
@@ -146,14 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--trace", dest="trace_path", metavar="FILE",
                        help="also write the campaign's Perfetto/Chrome "
                             "trace JSON")
-    fleet.add_argument("--workers", type=int, default=1,
-                       help="route the campaign through the repro.par "
-                            "worker pool (output is byte-identical to "
-                            "--workers 1)")
     fleet.add_argument("--journal", metavar="FILE",
                        help="write-ahead journal every transition and wave "
                             "boundary to FILE for crash recovery (runs "
-                            "inline; incompatible with --workers > 1)")
+                            "inline, through the same campaign task as "
+                            "any other run; incompatible with --workers > 1)")
     fleet.add_argument("--resume", metavar="FILE",
                        help="recover a crashed campaign from its journal "
                             "and run it to completion; the campaign shape "
@@ -164,28 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(exit code 3; requires --journal/--resume)")
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[campaign],
         help="replay a seeded fleet campaign and emit its Perfetto trace",
     )
-    trace.add_argument("--hosts", type=int, default=10)
-    trace.add_argument("--vms-per-host", type=int, default=10)
-    trace.add_argument("--inplace-fraction", type=float, default=0.8)
-    trace.add_argument("--group-size", type=int, default=2)
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--concurrency", type=int, default=8,
-                       help="max hosts in flight at once (0 = unbounded)")
-    trace.add_argument("--sequential-groups", action="store_true")
-    trace.add_argument("--fail-rate", type=float, default=0.0,
-                       help="per-phase failure-injection probability")
-    trace.add_argument("--cve", default="CVE-2016-6258")
     trace.add_argument("--out", metavar="FILE",
                        help="write the trace JSON here instead of stdout")
     trace.add_argument("--metrics", dest="metrics_path", metavar="FILE",
                        help="also write the metrics-registry snapshot JSON")
-    trace.add_argument("--workers", type=int, default=1,
-                       help="route the replay through the repro.par "
-                            "worker pool (output is byte-identical to "
-                            "--workers 1)")
 
     sentinel = sub.add_parser(
         "sentinel",
@@ -437,106 +426,66 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _journaled_fleet_result(args, payload):
-    """Run a journaled (or resumed) campaign inline.
+def _campaign_meta(args, retry, **config) -> dict:
+    """The CAMPAIGN_META of the campaign the shared fleet/trace flags plus
+    ``config`` describe, validated here before any worker sees it."""
+    from repro.fleet import FailureInjector, FleetConfig
+    from repro.journal import campaign_meta
 
-    The journal object cannot cross the worker-pool pipe, so ``--journal``
-    and ``--resume`` bypass :func:`repro.par.run_fleet_campaign`; the
-    returned dict mirrors its shape (``document``/``spans``) exactly.
-    """
-    from repro.fleet import (
-        FailureInjector,
-        FleetConfig,
-        FleetController,
-        RetryPolicy,
+    fleet_config = FleetConfig(
+        hosts=args.hosts,
+        vms_per_host=args.vms_per_host,
+        inplace_fraction=args.inplace_fraction,
+        group_size=args.group_size,
+        seed=args.seed,
+        concurrency=None if args.concurrency == 0 else args.concurrency,
+        sequential_groups=args.sequential_groups,
+        trigger_cve=args.cve,
+        **config,
     )
-    from repro.journal import CampaignJournal, campaign_meta, recover
-    from repro.obs import NULL_TRACER, Tracer
-    from repro.par.shard import spans_to_payload
-
-    tracer = Tracer() if payload.get("trace") else None
-    if args.resume:
-        controller, journal = recover(
-            args.resume,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-            crash_after=args.crash_after,
-        )
-        if journal.torn_bytes:
-            print(f"fleet: journal had a torn tail — discarded "
-                  f"{journal.torn_bytes} trailing byte(s) "
-                  f"({journal.torn_error})", file=sys.stderr)
-        print(f"fleet: resuming from {args.resume} — verifying "
-              f"{journal.pending_replay} journaled record(s)",
-              file=sys.stderr)
-    else:
-        config = FleetConfig(**payload["config"])
-        injector = FailureInjector(
-            payload.get("fail_rate", 0.0),
-            seed=payload.get("injector_seed", config.seed),
-        )
-        if payload.get("max_retries") is not None:
-            retry = RetryPolicy(max_retries=payload["max_retries"])
-        else:
-            retry = RetryPolicy()
-        journal = CampaignJournal.create(
-            args.journal, campaign_meta(config, injector, retry),
-            crash_after=args.crash_after,
-        )
-        kwargs = {"injector": injector, "retry": retry, "journal": journal}
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        controller = FleetController(config, **kwargs)
-    metrics = controller.run()
-    result = {"document": metrics.to_dict()}
-    result["mechanism_mix"] = controller.mechanism_mix()
-    if tracer is not None:
-        result["spans"] = spans_to_payload(tracer.trace)
-    return result
+    injector = FailureInjector(args.fail_rate, seed=args.seed)
+    return campaign_meta(fleet_config, injector, retry)
 
 
 def cmd_fleet(args) -> int:
     import json
 
+    from repro.errors import FleetError
+    from repro.fleet import RetryPolicy
+    from repro.journal import read_journal
     from repro.par import merge_traces, run_fleet_campaign
     from repro.vulndb.data import load_default_database
 
-    pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
-    payload = {
-        "config": {
-            "hosts": args.hosts,
-            "vms_per_host": args.vms_per_host,
-            "inplace_fraction": args.inplace_fraction,
-            "group_size": args.group_size,
-            "seed": args.seed,
-            "concurrency": args.concurrency if args.concurrency > 0 else None,
-            "sequential_groups": args.sequential_groups,
-            "mechanism": args.mechanism,
-            "trigger_cve": args.cve,
-            "current_hypervisor": args.current.value,
-            "pool": pool,
-        },
-        "fail_rate": args.fail_rate,
-        "injector_seed": args.seed,
-        "max_retries": args.max_retries,
-        "trace": bool(args.trace_path),
-    }
     journaling = bool(args.journal or args.resume)
     if args.journal and args.resume:
-        print("fleet: --journal and --resume are mutually exclusive",
-              file=sys.stderr)
-        return 2
+        raise FleetError("--journal and --resume are mutually exclusive")
     if args.crash_after is not None and not journaling:
-        print("fleet: --crash-after requires --journal or --resume",
-              file=sys.stderr)
-        return 2
+        raise FleetError("--crash-after requires --journal or --resume")
     if journaling and args.workers > 1:
-        print("fleet: a journaled campaign runs inline; drop --workers",
-              file=sys.stderr)
-        return 2
-    if journaling:
-        result = _journaled_fleet_result(args, payload)
+        raise FleetError("a journaled campaign runs inline; drop --workers")
+    if args.resume:
+        # Read-only (recovery truncates the torn tail), reported before a
+        # run that may crash again; recovery rejects a record-less journal.
+        scan = read_journal(args.resume)
+        if scan.records:
+            if scan.torn_bytes:
+                print(f"fleet: journal had a torn tail — discarded "
+                      f"{scan.torn_bytes} trailing byte(s) "
+                      f"({scan.torn_error})", file=sys.stderr)
+            print(f"fleet: resuming from {args.resume} — verifying "
+                  f"{len(scan.records) - 1} journaled record(s)",
+                  file=sys.stderr)
+        payload = {"resume": args.resume}
     else:
-        result = run_fleet_campaign(payload, workers=args.workers)
+        payload = _campaign_meta(
+            args, RetryPolicy(max_retries=args.max_retries),
+            mechanism=args.mechanism,
+            current_hypervisor=args.current.value,
+            pool=tuple(p.strip() for p in args.pool.split(",") if p.strip()),
+        )
+        payload["journal"] = args.journal
+    payload.update(crash_after=args.crash_after, trace=bool(args.trace_path))
+    result = run_fleet_campaign(payload, workers=args.workers)
 
     document = result["document"]
     campaign, window = document["campaign"], document["window"]
@@ -597,24 +546,11 @@ def cmd_fleet(args) -> int:
 def cmd_trace(args) -> int:
     import json
 
+    from repro.fleet import RetryPolicy
     from repro.par import merge_traces, run_fleet_campaign
 
-    payload = {
-        "config": {
-            "hosts": args.hosts,
-            "vms_per_host": args.vms_per_host,
-            "inplace_fraction": args.inplace_fraction,
-            "group_size": args.group_size,
-            "seed": args.seed,
-            "concurrency": args.concurrency if args.concurrency > 0 else None,
-            "sequential_groups": args.sequential_groups,
-            "trigger_cve": args.cve,
-        },
-        "fail_rate": args.fail_rate,
-        "injector_seed": args.seed,
-        "trace": True,
-        "metrics": True,
-    }
+    payload = _campaign_meta(args, RetryPolicy())
+    payload.update(trace=True, metrics=True)
     result = run_fleet_campaign(payload, workers=args.workers)
 
     trace = merge_traces([("fleet", result["spans"])], prefix=False)
@@ -638,8 +574,8 @@ def cmd_trace(args) -> int:
 
 def cmd_sentinel(args) -> int:
     import json
-    import os
 
+    from repro.errors import SentinelError
     from repro.par import merge_traces, run_sentinel
     from repro.sentinel import (
         DAY_S,
@@ -674,36 +610,13 @@ def cmd_sentinel(args) -> int:
         ),
     )
     if args.journal_dir and args.workers > 1:
-        print("sentinel: journaled campaigns run inline; drop --workers",
-              file=sys.stderr)
-        return 2
-    if args.journal_dir:
-        # Journal handles cannot cross the worker pipe: run inline,
-        # returning the same result shape as the pooled path.
-        from repro.obs import MetricsRegistry, Tracer
-        from repro.par.shard import spans_to_payload
-        from repro.sentinel import Sentinel
-
-        os.makedirs(args.journal_dir, exist_ok=True)
-        tracer = Tracer() if args.trace_path else None
-        registry = MetricsRegistry() if args.metrics_path else None
-        kwargs = {"journal_dir": args.journal_dir}
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        if registry is not None:
-            kwargs["registry"] = registry
-        report = Sentinel(config, **kwargs).run()
-        result = {"document": report.to_dict()}
-        if tracer is not None:
-            result["spans"] = spans_to_payload(tracer.trace)
-        if registry is not None:
-            result["registry"] = registry.snapshot()
-    else:
-        result = run_sentinel({
-            "config": config.to_payload(),
-            "trace": bool(args.trace_path),
-            "metrics": bool(args.metrics_path),
-        }, workers=args.workers)
+        raise SentinelError("journaled campaigns run inline; drop --workers")
+    result = run_sentinel({
+        "config": config.to_payload(),
+        "trace": bool(args.trace_path),
+        "metrics": bool(args.metrics_path),
+        "journal_dir": args.journal_dir,
+    }, workers=args.workers)
 
     document = result["document"]
     counters, windows = document["counters"], document["windows"]

@@ -27,8 +27,8 @@ import gc
 import hashlib
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
 from repro.cluster.btrplace import BtrPlacePlanner
@@ -123,6 +123,25 @@ class FleetConfig:
                 f"target override {self.target_override!r} is already the "
                 f"current hypervisor"
             )
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The plain-dict CAMPAIGN_META ``config``.  A hybrid ``mechanism``
+        and an unset ``target_override`` are left out, so default
+        campaigns keep the journal bytes from before either field."""
+        payload = asdict(self)
+        payload["pool"] = list(self.pool)
+        if self.mechanism == "hybrid":
+            del payload["mechanism"]
+        if self.target_override is None:
+            del payload["target_override"]
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "FleetConfig":
+        data = dict(payload)
+        if "pool" in data:
+            data["pool"] = tuple(data["pool"])
+        return cls(**data)
 
 
 @dataclass

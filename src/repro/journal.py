@@ -51,13 +51,11 @@ CI smoke job drive.
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import JournalCrash, JournalDivergence, JournalError
 from repro.io.frames import (
-    FRAME_OVERHEAD,
     Packer,
     Unpacker,
     decode_frame,
@@ -681,50 +679,36 @@ class CampaignJournal:
 def campaign_meta(config, injector, retry) -> Dict:
     """The CAMPAIGN_META document for a controller's full configuration.
 
-    The mechanism policy is journaled only when it differs from the
-    hybrid default: default campaigns stay byte-identical to journals
-    written before the policy knob existed, and :func:`recover` falls
-    back to the FleetConfig default for the missing key either way.
+    This is the one plain-data shape of a campaign: the journal's record
+    0 and the :func:`repro.par.fleet_campaign_task` payload.
+    :func:`campaign_from_meta` is its decoder.
     """
-    meta = {
+    return {
         "format": JOURNAL_FORMAT,
         "version": JOURNAL_VERSION,
-        "config": {
-            "hosts": config.hosts,
-            "vms_per_host": config.vms_per_host,
-            "inplace_fraction": config.inplace_fraction,
-            "group_size": config.group_size,
-            "seed": config.seed,
-            "concurrency": config.concurrency,
-            "sequential_groups": config.sequential_groups,
-            "migration_streams": config.migration_streams,
-            "stall_timeout_s": config.stall_timeout_s,
-            "kexec_watchdog_s": config.kexec_watchdog_s,
-            "verify_fixed_s": config.verify_fixed_s,
-            "verify_per_vm_s": config.verify_per_vm_s,
-            "trigger_cve": config.trigger_cve,
-            "current_hypervisor": config.current_hypervisor,
-            "pool": list(config.pool),
-            "disclosure_at_s": config.disclosure_at_s,
-        },
+        "config": config.to_payload(),
         "failures": {
             "rates": {phase.value: rate
                       for phase, rate in sorted(injector.rates.items(),
                                                 key=lambda kv: kv[0].value)},
             "seed": injector.seed,
         },
-        "retry": {
-            "max_retries": retry.max_retries,
-            "backoff_base_s": retry.backoff_base_s,
-            "backoff_factor": retry.backoff_factor,
-            "backoff_max_s": retry.backoff_max_s,
-        },
+        "retry": asdict(retry),
     }
-    if config.mechanism != "hybrid":
-        meta["config"]["mechanism"] = config.mechanism
-    if config.target_override is not None:
-        meta["config"]["target_override"] = config.target_override
-    return meta
+
+
+def campaign_from_meta(meta: Dict):
+    """Decode :func:`campaign_meta` into ``(config, injector, retry)``."""
+    from repro.fleet.controller import FleetConfig
+    from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
+
+    config = FleetConfig.from_payload(meta["config"])
+    injector = FailureInjector(
+        {FailurePhase(name): rate
+         for name, rate in meta["failures"]["rates"].items()},
+        seed=meta["failures"]["seed"],
+    )
+    return config, injector, RetryPolicy(**meta["retry"])
 
 
 def state_digest(document: Dict) -> bytes:
@@ -748,22 +732,12 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
     uninterrupted run; ``journal_registry`` receives the ``journal_*``
     operational metrics.
     """
-    from repro.fleet.controller import FleetConfig, FleetController
-    from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
+    from repro.fleet.controller import FleetController
 
     journal = CampaignJournal.resume(path, registry=journal_registry,
                                      tracer=tracer, crash_after=crash_after)
-    meta = journal.meta
     try:
-        config_kwargs = dict(meta["config"])
-        config_kwargs["pool"] = tuple(config_kwargs["pool"])
-        config = FleetConfig(**config_kwargs)
-        injector = FailureInjector(
-            {FailurePhase(name): rate
-             for name, rate in meta["failures"]["rates"].items()},
-            seed=meta["failures"]["seed"],
-        )
-        retry = RetryPolicy(**meta["retry"])
+        config, injector, retry = campaign_from_meta(journal.meta)
     except (KeyError, TypeError, ValueError) as exc:
         journal.close()
         raise JournalError(
@@ -792,6 +766,7 @@ __all__ = [
     "dump_records",
     "decode_record",
     "campaign_meta",
+    "campaign_from_meta",
     "state_digest",
     "recover",
 ]

@@ -11,8 +11,11 @@ Protocol, parent's view::
 
     parent -> worker   TASK_FRAME    pickle((task_id, "module:func", payload))
     worker -> parent   RESULT_FRAME  pickle((task_id, value))
-    worker -> parent   ERROR_FRAME   pickle((task_id, traceback_text))
+    worker -> parent   ERROR_FRAME   pickle((task_id, traceback_text, message))
     parent -> worker   END frame     clean shutdown; worker exits 0
+
+``message`` is the ``str()`` of a raised ``ReproError`` (else None): the
+parent raises it as a one-line ``ParError``, as the inline path would.
 
 Robustness (the ReHype lesson applied to the pool itself): every task has
 a deadline, a worker that dies mid-task (EOF / broken pipe / frame error)
@@ -36,10 +39,10 @@ import select
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.errors import ParError, StateFormatError
+from repro.errors import ParError, ReproError, StateFormatError
 from repro.io.frames import END_FRAME, encode_frame, read_stream_frame
 from repro.par import realtime
 
@@ -47,7 +50,7 @@ from repro.par import realtime
 TASK_FRAME = 0x21
 #: worker -> parent: the task's pickled return value.
 RESULT_FRAME = 0x22
-#: worker -> parent: the task raised; payload carries the traceback text.
+#: worker -> parent: the task raised; traceback text and ReproError message.
 ERROR_FRAME = 0x23
 
 #: types that must never ride inside a task payload: they carry live
@@ -209,10 +212,11 @@ def worker_main(stdin=None, stdout=None) -> int:
             value = resolve_ref(ref)(task_payload)
             reply = encode_frame(RESULT_FRAME,
                                  pickle.dumps((task_id, value)))
-        except Exception:
+        except Exception as exc:
+            message = str(exc) if isinstance(exc, ReproError) else None
             reply = encode_frame(
                 ERROR_FRAME,
-                pickle.dumps((task_id, traceback.format_exc())),
+                pickle.dumps((task_id, traceback.format_exc(), message)),
             )
         channel_out.write(reply)
         channel_out.flush()
@@ -467,11 +471,11 @@ class WorkerPool:
             worker.task_index = None
             return
         if frame_type == ERROR_FRAME:
-            task_id, text = pickle.loads(payload)
+            task_id, text, message = pickle.loads(payload)
             task = tasks[task_id]
             raise ParError(
-                f"task {task.label or task.func} raised in worker "
-                f"{worker.index}:\n{text}"
+                message or f"task {task.label or task.func} raised in "
+                           f"worker {worker.index}:\n{text}"
             )
         raise ParError(
             f"worker {worker.index} sent unexpected frame type "

@@ -6,9 +6,9 @@ submission order, keep the pool's operational stats for the artifact's
 ``meta`` block.
 
 :func:`fleet_campaign_task` is the canonical worker entrypoint — one
-complete fleet campaign per task, built *inside* the worker from a plain
-config payload (never shipped live objects), returning plain dicts: the
-metrics document, span payloads and a registry snapshot.  Because the
+complete fleet campaign per task, built *inside* the worker from its
+CAMPAIGN_META document (never shipped live objects), returning plain
+dicts: the metrics document, span payloads and a registry snapshot.  Because the
 campaign is seeded and the document serialization is deterministic, the
 same payload produces the same dicts inline, in a worker, or in a worker
 that crashed twice and was retried.
@@ -65,54 +65,54 @@ class ParallelRunner:
 def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one seeded fleet campaign and return plain-dict results.
 
-    ``payload`` keys:
+    ``payload`` is a :func:`repro.journal.campaign_meta` document (the
+    ``config``/``failures``/``retry`` sections) plus these keys:
 
-    * ``config`` — :class:`~repro.fleet.controller.FleetConfig` kwargs;
-    * ``fail_rate`` — failure-injection probability (default 0.0);
-    * ``injector_seed`` — injector RNG seed (default: the config seed);
-    * ``max_retries`` — per-host retry budget (default: policy default);
     * ``trace`` — collect spans and return them as payloads;
-    * ``metrics`` — publish into a registry and return its snapshot.
+    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``journal`` — write-ahead journal the campaign to this path;
+    * ``resume`` — instead recover the campaign journaled at this path;
+    * ``crash_after`` — the journal's crash-point fault injection.
 
-    Everything live — clock, engine, tracer, registry — is constructed
-    here, inside the executing process; only seeds and plain data cross
-    the pipe.  The returned ``document`` is exactly
+    Everything live — clock, engine, tracer, registry, journal — is
+    constructed here, inside the executing process; only seeds and plain
+    data cross the pipe.  The returned ``document`` is exactly
     ``FleetMetrics.to_dict()``, so serial and parallel runs serialize to
     identical bytes.
     """
-    from repro.fleet import (
-        FailureInjector,
-        FleetConfig,
-        FleetController,
-        RetryPolicy,
+    from repro.fleet import FleetController
+    from repro.journal import (
+        CampaignJournal,
+        campaign_from_meta,
+        campaign_meta,
+        recover,
     )
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
     from repro.par.shard import spans_to_payload
 
-    config = FleetConfig(**payload.get("config", {}))
-    injector = FailureInjector(
-        payload.get("fail_rate", 0.0),
-        seed=payload.get("injector_seed", config.seed),
-    )
-    if payload.get("max_retries") is not None:
-        retry = RetryPolicy(max_retries=payload["max_retries"])
-    else:
-        retry = RetryPolicy()
-    tracer = Tracer() if payload.get("trace") else None
+    tracer = Tracer() if payload.get("trace") else NULL_TRACER
     registry = MetricsRegistry() if payload.get("metrics") else None
-
-    kwargs = {"injector": injector, "retry": retry}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if registry is not None:
-        kwargs["registry"] = registry
-    controller = FleetController(config, **kwargs)
+    crash_after = payload.get("crash_after")
+    if payload.get("resume"):
+        controller, _ = recover(payload["resume"], registry=registry,
+                                tracer=tracer, crash_after=crash_after)
+    else:
+        config, injector, retry = campaign_from_meta(payload)
+        journal = None
+        if payload.get("journal"):
+            journal = CampaignJournal.create(
+                payload["journal"], campaign_meta(config, injector, retry),
+                crash_after=crash_after,
+            )
+        controller = FleetController(config, injector=injector, retry=retry,
+                                     tracer=tracer, registry=registry,
+                                     journal=journal)
     metrics = controller.run()
 
     result: Dict[str, Any] = {"document": metrics.to_dict()}
     # Sorted plain dicts: serializes identically from any worker.
     result["mechanism_mix"] = controller.mechanism_mix()
-    if tracer is not None:
+    if payload.get("trace"):
         result["spans"] = spans_to_payload(tracer.trace)
     if registry is not None:
         result["registry"] = registry.snapshot()
@@ -129,30 +129,32 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
       dicts, a plain-list pool);
     * ``trace`` — collect response-plane spans and return them as
       payloads;
-    * ``metrics`` — publish into a registry and return its snapshot.
+    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``journal_dir`` — write-ahead journal every launched campaign into
+      this directory, creating it if needed.
 
     Same discipline as :func:`fleet_campaign_task`: clock, engine,
     tracer and registry are built here, in the executing process; the
     returned ``document`` is exactly ``SentinelReport.to_dict()``, so
     serial and parallel runs serialize to identical bytes.
     """
-    from repro.obs import MetricsRegistry, Tracer
+    import os
+
+    from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
     from repro.par.shard import spans_to_payload
     from repro.sentinel import Sentinel, SentinelConfig
 
     config = SentinelConfig.from_payload(payload.get("config", {}))
-    tracer = Tracer() if payload.get("trace") else None
+    tracer = Tracer() if payload.get("trace") else NULL_TRACER
     registry = MetricsRegistry() if payload.get("metrics") else None
-
-    kwargs: Dict[str, Any] = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if registry is not None:
-        kwargs["registry"] = registry
-    report = Sentinel(config, **kwargs).run()
+    journal_dir = payload.get("journal_dir") or None
+    if journal_dir is not None:
+        os.makedirs(journal_dir, exist_ok=True)
+    report = Sentinel(config, tracer=tracer, registry=registry,
+                      journal_dir=journal_dir).run()
 
     result: Dict[str, Any] = {"document": report.to_dict()}
-    if tracer is not None:
+    if payload.get("trace"):
         result["spans"] = spans_to_payload(tracer.trace)
     if registry is not None:
         result["registry"] = registry.snapshot()

@@ -29,13 +29,12 @@ Overlap semantics, in order of precedence:
 """
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SentinelError
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sentinel.feedstream import (
-    DAY_S,
     DisclosureEvent,
     FeedSchedule,
     build_feed,
@@ -516,6 +515,7 @@ class Sentinel:
         """Run one FleetController campaign eagerly; map its node names
         (``node00``...) back onto the sentinel's host names."""
         from repro.fleet.controller import FleetConfig, FleetController
+        from repro.fleet.failures import FailureInjector, RetryPolicy
 
         config = self.config
         sub_seed = self._campaign_seed(active.record.index)
@@ -540,20 +540,20 @@ class Sentinel:
             pool=config.pool,
             target_override=target,
         )
+        injector = FailureInjector(0.0, seed=sub_seed)
+        retry = RetryPolicy()
         journal = None
         if self.journal_dir is not None:
-            from repro.fleet.failures import FailureInjector, RetryPolicy
             from repro.journal import CampaignJournal, campaign_meta
 
             path = os.path.join(
                 self.journal_dir,
                 f"campaign-{active.record.index:03d}.journal",
             )
-            journal = CampaignJournal.create(path, campaign_meta(
-                fleet_config, FailureInjector(0.0, seed=sub_seed),
-                RetryPolicy(),
-            ))
+            journal = CampaignJournal.create(
+                path, campaign_meta(fleet_config, injector, retry))
         controller = FleetController(fleet_config, db=self.db,
+                                     injector=injector, retry=retry,
                                      journal=journal)
         metrics = controller.run()
         outcomes = sorted(metrics.per_host, key=lambda h: h.name)

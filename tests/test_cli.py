@@ -160,6 +160,32 @@ class TestFleetCommand:
                      "--cve", "CVE-2015-8104"]) == 2
 
 
+class TestCampaignErrors:
+    """fleet and trace build the campaign in the parent, and a library
+    error raised inside a worker comes back as its own message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--hosts", "0"],
+        ["fleet", "--hosts", "1"],
+        ["fleet", "--inplace-fraction", "-1"],
+        ["fleet", "--pool", "xen"],
+        ["trace", "--hosts", "0"],
+    ])
+    def test_workers_report_the_serial_one_line_error(self, argv, capsys):
+        assert main([*argv, "--workers", "1"]) == 2
+        serial = capsys.readouterr().err
+        assert main([*argv, "--workers", "2"]) == 2
+        assert capsys.readouterr().err == serial
+        assert serial.count("\n") == 1
+        assert serial.startswith(f"{argv[0]}: ")
+
+    @pytest.mark.parametrize("command", ["fleet", "trace"])
+    def test_negative_concurrency_rejected(self, command, capsys):
+        assert main([command, "--concurrency", "-3"]) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: concurrency must be >= 1 or None, got -3\n")
+
+
 class TestTraceFlag:
     def test_trace_file_written(self, tmp_path, capsys):
         import json

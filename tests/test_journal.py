@@ -10,10 +10,13 @@ bytes.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JournalCrash, JournalDivergence, JournalError
 from repro.fleet import (
     FailureInjector,
+    FailurePhase,
     FleetConfig,
     FleetController,
     RetryPolicy,
@@ -22,11 +25,10 @@ from repro.io.frames import decode_frame, encode_frame
 from repro.journal import (
     BARRIER_KINDS,
     CAMPAIGN_META_FRAME,
-    CHECKPOINT_FRAME,
-    COMMIT_FRAME,
     HOST_TRANSITION_FRAME,
     WAVE_BARRIER_FRAME,
     CampaignJournal,
+    campaign_from_meta,
     campaign_meta,
     decode_record,
     dump_records,
@@ -42,6 +44,7 @@ from repro.journal import (
     encode_barrier,
     encode_checkpoint,
     encode_commit,
+    decode_meta,
     encode_meta,
     encode_transition,
 )
@@ -152,6 +155,66 @@ class TestRecordCodecs:
     def test_meta_round_trips_the_campaign_shape(self):
         meta = campaign_meta(*campaign_parts())
         assert decode_record(CAMPAIGN_META_FRAME, encode_meta(meta)) == meta
+
+
+_KINDS = ("xen", "kvm", "nova")
+_DURATION = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_RATE = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def fleet_configs(draw):
+    current = draw(st.sampled_from(_KINDS))
+    return FleetConfig(
+        hosts=draw(st.integers(1, 5000)),
+        vms_per_host=draw(st.integers(1, 64)),
+        inplace_fraction=draw(_RATE),
+        group_size=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        concurrency=draw(st.none() | st.integers(1, 512)),
+        sequential_groups=draw(st.booleans()),
+        migration_streams=draw(st.integers(1, 16)),
+        stall_timeout_s=draw(_DURATION),
+        kexec_watchdog_s=draw(_DURATION),
+        verify_fixed_s=draw(_DURATION),
+        verify_per_vm_s=draw(_DURATION),
+        mechanism=draw(st.sampled_from(
+            ("inplace", "migration", "hybrid", "auto"))),
+        trigger_cve=draw(st.text(min_size=1, max_size=24)),
+        current_hypervisor=current,
+        pool=tuple(draw(st.lists(st.sampled_from(_KINDS), min_size=1,
+                                 max_size=3, unique=True))),
+        disclosure_at_s=draw(_DURATION),
+        target_override=draw(st.none() | st.sampled_from(
+            [kind for kind in _KINDS if kind != current])),
+    )
+
+
+class TestCampaignMetaRoundTrip:
+    @given(
+        config=fleet_configs(),
+        rates=st.fixed_dictionaries(
+            {phase: _RATE for phase in FailurePhase}),
+        injector_seed=st.integers(0, 2**63 - 1),
+        retry=st.builds(RetryPolicy,
+                        max_retries=st.integers(0, 10),
+                        backoff_base_s=_DURATION,
+                        backoff_factor=st.floats(1.0, 10.0),
+                        backoff_max_s=_DURATION),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_encoder_one_decoder(self, config, rates, injector_seed,
+                                     retry):
+        assert FleetConfig.from_payload(config.to_payload()) == config
+        meta = campaign_meta(config, FailureInjector(rates, injector_seed),
+                             retry)
+        # In memory (the worker payload) and through the journal's JSON.
+        for document in (meta, decode_meta(encode_meta(meta))):
+            decoded, injector, decoded_retry = campaign_from_meta(document)
+            assert decoded == config
+            assert injector.rates == rates
+            assert injector.seed == injector_seed
+            assert decoded_retry == retry
 
 
 # -- the acceptance loop: kill and resume at every record ----------------------

@@ -28,6 +28,8 @@ import pytest
 
 from repro.analysis import Project, run_analysis
 from repro.errors import ParError
+from repro.fleet import FailureInjector, FleetConfig, RetryPolicy
+from repro.journal import campaign_meta
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import Span, Trace
 from repro.par import (
@@ -104,6 +106,14 @@ def noisy_task(payload):
 
 def campaign_entry(payload):
     return fleet_campaign_task(payload)
+
+
+def campaign_payload(fail_rate=0.0, max_retries=3, **config):
+    """A fleet_campaign_task payload: the campaign's CAMPAIGN_META."""
+    fleet_config = FleetConfig(**config)
+    return campaign_meta(fleet_config,
+                         FailureInjector(fail_rate, seed=fleet_config.seed),
+                         RetryPolicy(max_retries=max_retries))
 
 
 # -- func_ref / resolve_ref / payload guard -----------------------------------
@@ -422,7 +432,7 @@ class TestWorkerFaults:
     def test_merged_fleet_output_identical_despite_crash(self, tmp_path):
         """The headline contract: a worker SIGKILLed mid-campaign must
         not change a single output byte after retry."""
-        payload = {"config": {"hosts": 10, "seed": 11}, "trace": True,
+        payload = {**campaign_payload(hosts=10, seed=11), "trace": True,
                    "metrics": True}
         serial = fleet_campaign_task(payload)
 
@@ -456,8 +466,8 @@ class TestParallelRunner:
             runner.map_tasks(double, [1, 2], labels=["only-one"])
 
     def test_fleet_campaign_serial_vs_pooled_bytes(self):
-        payload = {"config": {"hosts": 8, "seed": 5}, "fail_rate": 0.05,
-                   "injector_seed": 5, "max_retries": 3,
+        payload = {**campaign_payload(hosts=8, seed=5, fail_rate=0.05,
+                                      max_retries=3),
                    "trace": True, "metrics": True}
         serial = run_fleet_campaign(payload, workers=1)
         pooled = run_fleet_campaign(payload, workers=3)
@@ -471,7 +481,7 @@ class TestParallelRunner:
         assert serial_trace == pooled_trace
 
     def test_sweep_shards_merge_order_independently(self):
-        payloads = [{"config": {"hosts": 4, "seed": seed}, "metrics": True}
+        payloads = [{**campaign_payload(hosts=4, seed=seed), "metrics": True}
                     for seed in (1, 2, 3)]
         runner = ParallelRunner(workers=3, task_timeout_s=120)
         results = runner.map_tasks(fleet_campaign_task, payloads)

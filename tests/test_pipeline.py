@@ -313,10 +313,10 @@ class TestGoldenByteIdentity:
         assert "mechanism" not in default["config"]
         tuned = campaign_meta(FleetConfig(mechanism="auto"), injector, retry)
         assert tuned["config"]["mechanism"] == "auto"
-        # recover() builds FleetConfig(**config): both shapes round-trip.
-        assert FleetConfig(
-            **{**default["config"],
-               "pool": tuple(default["config"]["pool"])}).mechanism == "hybrid"
+        # recover() decodes with from_payload: both shapes round-trip.
+        assert FleetConfig.from_payload(
+            default["config"]).mechanism == "hybrid"
+        assert FleetConfig.from_payload(tuned["config"]).mechanism == "auto"
 
 
 # -- mechanism simulations against the pipeline --------------------------------

@@ -370,6 +370,44 @@ class TestSentinelJournal:
         assert journals == [f"campaign-{c['index']:03d}.journal"
                             for c in launched]
 
+    def test_controllers_run_what_their_journal_records(self, tmp_path,
+                                                       monkeypatch):
+        """Each campaign's CAMPAIGN_META names the injector and retry
+        policy its controller actually runs with, so a resume replays
+        the same campaign."""
+        from dataclasses import asdict
+
+        from repro.fleet import FleetController
+        from repro.journal import dump_records
+
+        launched = []
+        original_run = FleetController.run
+
+        def run(controller):
+            launched.append(controller)
+            return original_run(controller)
+
+        monkeypatch.setattr(FleetController, "run", run)
+        Sentinel(_small_config(), journal_dir=str(tmp_path)).run()
+        assert launched
+        for controller in launched:
+            meta = dump_records(controller.journal.path)[0]
+            injector = controller.injector
+            assert meta["failures"]["seed"] == injector.seed
+            assert meta["failures"]["rates"] == {
+                phase.value: rate for phase, rate in injector.rates.items()}
+            assert meta["retry"] == asdict(controller.retry)
+
+    def test_task_creates_the_journal_dir(self, tmp_path):
+        from repro.par import run_sentinel
+
+        journal_dir = tmp_path / "new" / "journals"
+        config = _small_config().to_payload()
+        journaled = run_sentinel({"config": config,
+                                  "journal_dir": str(journal_dir)})
+        assert journaled == run_sentinel({"config": config})
+        assert any(p.suffix == ".journal" for p in journal_dir.iterdir())
+
 
 class TestPreemption:
     """The overlapping-disclosure scenario: a second critical flaw lands
@@ -453,7 +491,7 @@ class TestResidual:
 
 class TestTraceBuilder:
     def test_trace_sentinel_spans(self):
-        from repro.obs import Tracer, trace_sentinel
+        from repro.obs import Tracer
 
         tracer = Tracer()
         report = Sentinel(_small_config(), tracer=tracer).run()
