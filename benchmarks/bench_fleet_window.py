@@ -19,7 +19,11 @@ Emits ``BENCH_fleet_window.json`` next to this file (override with
 ``--json PATH``); ``--smoke`` restricts to the 10-host column for CI.
 A wall-clock guard asserts the 1000-host run stays sub-superlinear — the
 simulator is O(n log n) in events, so 100x the hosts must cost far less
-than 10000x the wall time.
+than 10000x the wall time.  A scaling-shape guard holds the 1000- to
+8000-host growth under 16x (about 2.5x per doubling): the planning
+layers (mechanism decision, placement, stage-plan costing) stay near
+linear in hosts.  Run both with ``pytest benchmarks/bench_fleet_window.py
+-k guard``.
 """
 
 import argparse
@@ -193,6 +197,17 @@ def test_wall_clock_guard():
     assert large["wall_s"] < 60.0
     # 10x the hosts may cost ~10x wall plus constant overhead, never ~100x.
     assert large["wall_s"] < 30 * max(small["wall_s"], 0.01)
+
+
+def test_scaling_shape_guard():
+    """8x the hosts may cost 8x the wall plus the engine's log factor,
+    never the ~28x a quadratic planning term costs at these sizes."""
+    measure_cell({"hosts": 100, "fail_rate": 0.0})  # imports, warm tables
+    small = measure_cell({"hosts": 1000, "fail_rate": 0.0})
+    large = measure_cell({"hosts": 8000, "fail_rate": 0.0})
+    entry = large["entry"]
+    assert entry["done_hosts"] + entry["rolled_back_hosts"] == 8000
+    assert large["wall_s"] < 16 * max(small["wall_s"], 0.01)
 
 
 def test_parallel_payload_identical():

@@ -44,11 +44,6 @@ class BtrPlacePlanner:
         # which matters at fleet scale (thousands of hosts).
         self._sorted_names = sorted(self.cluster.nodes)
 
-    def _offline_groups(self) -> List[List[str]]:
-        names = self._sorted_names
-        return [names[i:i + self.group_size]
-                for i in range(0, len(names), self.group_size)]
-
     def plan(self, apply: bool = True) -> ReconfigurationPlan:
         """Produce (and by default apply placement changes for) the campaign.
 
@@ -57,7 +52,13 @@ class BtrPlacePlanner:
         counts.  Use ``apply=False`` for a single-group dry run.
         """
         plan = ReconfigurationPlan()
-        for index, group in enumerate(self._offline_groups()):
+        names = self._sorted_names
+        for index, start in enumerate(range(0, len(names), self.group_size)):
+            # Groups are consecutive runs of the sorted names, so the
+            # group's live nodes are the names on either side of it.
+            end = start + self.group_size
+            group = names[start:end]
+            live = names[:start] + names[end:]
             group_plan = GroupPlan(group_index=index, nodes=list(group))
             for node_name in group:
                 node = self.cluster.nodes[node_name]
@@ -66,7 +67,7 @@ class BtrPlacePlanner:
                     if self.rides(vm):
                         staying.append(vm)
                         continue
-                    dest = self._pick_destination(group, vm.name)
+                    dest = self._pick_destination(group, live, vm.name)
                     group_plan.migrations.append(MigrationAction(
                         vm_name=vm.name,
                         source=node_name,
@@ -86,7 +87,7 @@ class BtrPlacePlanner:
             plan.groups.append(group_plan)
         return plan
 
-    def _pick_destination(self, offline_group: List[str],
+    def _pick_destination(self, offline_group: List[str], live: List[str],
                           vm_name: str) -> str:
         """Spread placement: rotate over all live nodes with capacity.
 
@@ -95,8 +96,6 @@ class BtrPlacePlanner:
         not-yet-upgraded hosts too and may migrate again later — the reason
         the paper's 100-VM cluster needs 154 migrations at 0 % compatibility.
         """
-        offline = set(offline_group)
-        live = [name for name in self._sorted_names if name not in offline]
         if not live:
             raise PlanningError("no live nodes to receive evacuated VMs")
         for _ in range(len(live)):

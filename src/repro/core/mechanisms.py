@@ -243,17 +243,21 @@ def decide_fleet(policy: MechanismPolicy,
     other providers, drained in sorted name order).  Deterministic:
     same profiles and slots produce the same decisions.
     """
-    remaining = {name: free_slots[name] for name in sorted(free_slots)}
+    # Providers with slots left, in drain order, and their running total;
+    # a drained provider leaves ``remaining``, so each host's drain walks
+    # only the providers it empties plus the one it stops in.
+    remaining = {name: free_slots[name] for name in sorted(free_slots)
+                 if free_slots[name]}
+    pool = sum(remaining.values())
     decisions: Dict[str, HostDecision] = {}
     for host in sorted(host_vms):
-        spare = sum(slots for name, slots in remaining.items()
-                    if name != host)
         decision = policy.decide_host(
             host, host_vms[host], inplace=inplace, migration=migration,
-            spare_slots=spare,
+            spare_slots=pool - remaining.get(host, 0),
         )
         decisions[host] = decision
         need = len(decision.evacuate)
+        drained = []
         for name in remaining:
             if need == 0:
                 break
@@ -261,7 +265,12 @@ def decide_fleet(policy: MechanismPolicy,
                 continue
             taken = min(remaining[name], need)
             remaining[name] -= taken
+            pool -= taken
             need -= taken
+            if not remaining[name]:
+                drained.append(name)
+        for name in drained:
+            del remaining[name]
     return decisions
 
 

@@ -29,12 +29,17 @@ right, MigrationTP groups busy-time and downtime before adding them.
 The two associations differ by 1 ulp on thousands of real campaign
 actions, so each builder reproduces its historical summation tree
 exactly and every committed artifact stays byte-identical.
+
+Plans are shared per shape: a plan depends only on the pipeline's value
+settings and the call's arguments, never on the ``subject`` label, so
+``plan_host``/``plan_vm`` build each distinct shape once, in a table on
+the class, and hand every later caller the same frozen plan.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TransplantError
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
@@ -44,6 +49,10 @@ from repro.obs import Span
 from repro.sim.resources import effective_tcp_rate, gigabits
 from repro.core.migration import plan_precopy
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
+
+
+#: distinct shapes a pipeline class keeps before emptying its plan table
+PLAN_TABLE_LIMIT = 4096
 
 
 def fabric_link_rate(node_spec: MachineSpec = CLUSTER_NODE_SPEC) -> float:
@@ -92,17 +101,18 @@ class VerifySpec:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """A mechanism's staged cost breakdown for one host or VM.
+    """A mechanism's staged cost breakdown for one host or VM shape.
 
-    ``execute_s`` covers quiesce through restore — what the executing
-    host is busy for; ``total_s`` additionally includes verification.
-    Both are composed by the mechanism builder in its calibrated
-    float-association (see the module docstring), so consumers must use
-    these fields rather than re-summing ``stages`` in their own order.
+    A plan carries no host or VM name: one plan serves every subject of
+    its shape.  ``execute_s`` covers quiesce through restore — what the
+    executing host is busy for; ``total_s`` additionally includes
+    verification.  Both are composed by the mechanism builder in its
+    calibrated float-association (see the module docstring), so
+    consumers must use these fields rather than re-summing ``stages`` in
+    their own order.
     """
 
     mechanism: str
-    subject: str
     stages: Tuple[StageCost, ...]
     total_s: float
     execute_s: float
@@ -112,13 +122,13 @@ class StagePlan:
         seen = [s.stage for s in self.stages]
         if seen != [s for s in STAGE_ORDER if s in seen]:
             raise TransplantError(
-                f"{self.subject}: stages out of protocol order: "
+                f"{self.mechanism}: stages out of protocol order: "
                 f"{[s.value for s in seen]}"
             )
         loose = sum(s.duration_s for s in self.stages)
         if not math.isclose(loose, self.total_s, rel_tol=1e-9, abs_tol=1e-12):
             raise TransplantError(
-                f"{self.subject}: total_s {self.total_s!r} is not a "
+                f"{self.mechanism}: total_s {self.total_s!r} is not a "
                 f"re-association of the stage sum {loose!r}"
             )
 
@@ -155,6 +165,16 @@ def _fold(durations: Sequence[float]) -> float:
     return total
 
 
+def _shared(table: Dict[tuple, StagePlan], key: tuple, build) -> StagePlan:
+    """The plan ``table`` holds for ``key``, built by ``build()`` once."""
+    plan = table.get(key)
+    if plan is None:
+        if len(table) >= PLAN_TABLE_LIMIT:
+            table.clear()
+        plan = table[key] = build()
+    return plan
+
+
 class InPlacePipeline:
     """Stage costs of InPlaceTP on one machine shape.
 
@@ -165,6 +185,7 @@ class InPlacePipeline:
     """
 
     mechanism = "inplace"
+    _plans: ClassVar[Dict[tuple, StagePlan]] = {}
 
     def __init__(self, machine: Machine,
                  cost: CostModel = DEFAULT_COST_MODEL,
@@ -177,7 +198,15 @@ class InPlacePipeline:
 
     def plan_host(self, subject: str, vm_count: int,
                   total_memory_bytes: int) -> StagePlan:
-        """Stage costs for a host carrying ``vm_count`` uniform VMs."""
+        """Stage costs for a host carrying ``vm_count`` uniform VMs
+        (``subject`` names the host; the plan is shared per shape)."""
+        key = (self.machine.spec, self.cost, self.target_kind, self.verify,
+               vm_count, total_memory_bytes)
+        return _shared(self._plans, key, lambda: self._plan_host(
+            vm_count, total_memory_bytes))
+
+    def _plan_host(self, vm_count: int,
+                   total_memory_bytes: int) -> StagePlan:
         entries_per_vm = (
             self.cost.entries_for(
                 total_memory_bytes // max(1, vm_count), PAGE_2M,
@@ -189,8 +218,7 @@ class InPlacePipeline:
         vm_shapes = [(1, entries_per_vm)] * vm_count
         capture = (self.cost.pram_phase_s(self.machine, entry_counts)
                    if vm_count else 0.0)
-        return self._build(subject, vm_count, vm_shapes,
-                           sum(entry_counts), capture)
+        return self._build(vm_count, vm_shapes, sum(entry_counts), capture)
 
     def plan_shapes(self, subject: str, vm_shapes: Sequence,
                     entry_counts: Optional[Sequence[int]] = None) -> StagePlan:
@@ -199,11 +227,11 @@ class InPlacePipeline:
             entry_counts = [entries for _, entries in vm_shapes]
         capture = (self.cost.pram_phase_s(self.machine, list(entry_counts))
                    if entry_counts else 0.0)
-        return self._build(subject, len(vm_shapes), list(vm_shapes),
+        return self._build(len(vm_shapes), list(vm_shapes),
                            sum(entry_counts), capture)
 
-    def _build(self, subject: str, vm_count: int, vm_shapes,
-               total_entries: int, capture: float) -> StagePlan:
+    def _build(self, vm_count: int, vm_shapes, total_entries: int,
+               capture: float) -> StagePlan:
         translate = self.cost.translate_phase_s(self.machine, vm_shapes)
         transfer = self.cost.reboot_phase_s(self.machine, self.target_kind,
                                             total_entries)
@@ -229,8 +257,8 @@ class InPlacePipeline:
         execute = _fold([s.duration_s for s in stages[:-1]])
         total = _fold([s.duration_s for s in stages])
         downtime = _fold([s.duration_s for s in stages if s.downtime])
-        return StagePlan(mechanism=self.mechanism, subject=subject,
-                         stages=stages, total_s=total, execute_s=execute,
+        return StagePlan(mechanism=self.mechanism, stages=stages,
+                         total_s=total, execute_s=execute,
                          downtime_s=downtime)
 
 
@@ -246,6 +274,7 @@ class MigrationPipeline:
     """
 
     mechanism = "migration"
+    _plans: ClassVar[Dict[tuple, StagePlan]] = {}
 
     def __init__(self, link_rate: float,
                  cost: CostModel = DEFAULT_COST_MODEL,
@@ -263,6 +292,15 @@ class MigrationPipeline:
 
     def plan_vm(self, subject: str, memory_bytes: int,
                 dirty_rate_bytes_s: float, vcpus: int = 1) -> StagePlan:
+        """Stage costs for migrating one VM (``subject`` names the VM;
+        the plan is shared per shape)."""
+        key = (self.link_rate, self.cost, self.target_kind,
+               self.charge_proxy, memory_bytes, dirty_rate_bytes_s, vcpus)
+        return _shared(self._plans, key, lambda: self._plan_vm(
+            memory_bytes, dirty_rate_bytes_s, vcpus))
+
+    def _plan_vm(self, memory_bytes: int, dirty_rate_bytes_s: float,
+                 vcpus: int) -> StagePlan:
         rounds = plan_precopy(memory_bytes, self.link_rate,
                               dirty_rate_bytes_s, self.cost)
         capture = sum(r.duration_s for r in rounds)
@@ -294,8 +332,8 @@ class MigrationPipeline:
         busy = _fold([s.duration_s for s in stages if not s.downtime])
         downtime = _fold([s.duration_s for s in stages if s.downtime])
         total = busy + downtime
-        return StagePlan(mechanism=self.mechanism, subject=subject,
-                         stages=stages, total_s=total, execute_s=total,
+        return StagePlan(mechanism=self.mechanism, stages=stages,
+                         total_s=total, execute_s=total,
                          downtime_s=downtime)
 
 

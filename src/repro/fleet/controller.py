@@ -32,7 +32,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.model import Cluster, build_paper_cluster
+from repro.cluster.model import Cluster, ClusterNode, build_paper_cluster
 from repro.cluster.plan import InPlaceAction, MigrationAction
 from repro.core.mechanisms import (
     HostDecision,
@@ -98,6 +98,15 @@ class FleetConfig:
     def __post_init__(self):
         if self.hosts < 1:
             raise FleetError(f"need >= 1 host, got {self.hosts}")
+        if self.vms_per_host < 1:
+            raise FleetError(
+                f"need >= 1 VM per host, got {self.vms_per_host}"
+            )
+        if self.vms_per_host > ClusterNode.capacity_vms:
+            raise FleetError(
+                f"need <= {ClusterNode.capacity_vms} VMs per host (node "
+                f"capacity), got {self.vms_per_host}"
+            )
         if self.group_size < 1:
             raise FleetError(f"group size must be >= 1, got {self.group_size}")
         if self.concurrency is not None and self.concurrency < 1:

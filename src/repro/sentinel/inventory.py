@@ -12,8 +12,13 @@ mutation first calls :meth:`FleetInventory.advance` to integrate
 ``exposed-hosts x elapsed-time`` for each open CVE up to *now*, then
 applies the change.  The integral is therefore exact for piecewise-
 constant exposure, which is exactly what a discrete-event fleet produces.
+
+A flaw's exposed-host count is the sum of the per-kind host counts over
+the kinds it affects, kept current by :meth:`FleetInventory.commit_host`,
+so each count costs O(affected kinds) rather than a scan of the fleet.
 """
 
+from collections import Counter
 from typing import Dict, List
 
 from repro.errors import SentinelError
@@ -41,6 +46,8 @@ class FleetInventory:
             host: DEFAULT_VERSIONS.get(kind, "unknown")
             for host, kind in self._kind.items()
         }
+        #: hosts per hypervisor kind, kept current by commit_host
+        self._count = Counter(self._kind.values())
         self._open: Dict[str, CVERecord] = {}
         #: exposure-host-seconds accrued per CVE (closed CVEs keep theirs)
         self.exposure_s: Dict[str, float] = {}
@@ -62,6 +69,14 @@ class FleetInventory:
         self.kind_of(host)
         return self._version[host]
 
+    def host_count(self, kind: str) -> int:
+        """How many hosts run hypervisor ``kind`` right now."""
+        return self._count[kind]
+
+    def running_kinds(self) -> List[str]:
+        """Hypervisor kinds at least one host runs right now, sorted."""
+        return sorted(kind for kind, count in self._count.items() if count)
+
     def kinds(self) -> Dict[str, List[str]]:
         """Hypervisor kind -> sorted hosts running it."""
         grouped: Dict[str, List[str]] = {}
@@ -75,16 +90,12 @@ class FleetInventory:
     def is_open(self, cve_id: str) -> bool:
         return cve_id in self._open
 
-    def exposed_hosts(self, cve_id: str) -> List[str]:
+    def exposure_count(self, cve_id: str) -> int:
         """Hosts whose current hypervisor the open flaw affects."""
         record = self._open.get(cve_id)
         if record is None:
-            return []
-        return [host for host in sorted(self._kind)
-                if record.affects(self._kind[host])]
-
-    def exposure_count(self, cve_id: str) -> int:
-        return len(self.exposed_hosts(cve_id))
+            return 0
+        return sum(self._count[kind] for kind in record.affected)
 
     # ------------------------------------------------------------------
     # mutations (each accrues exposure up to *now* first)
@@ -124,7 +135,8 @@ class FleetInventory:
     def commit_host(self, now_s: float, host: str, kind: str) -> None:
         """A campaign finished transplanting ``host`` onto ``kind``."""
         self.advance(now_s)
-        self.kind_of(host)  # validates
+        self._count[self.kind_of(host)] -= 1  # kind_of validates
+        self._count[kind] += 1
         self._kind[host] = kind
         self._version[host] = DEFAULT_VERSIONS.get(kind, "unknown")
 

@@ -32,6 +32,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.model import ClusterNode
 from repro.errors import SentinelError
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sentinel.feedstream import (
@@ -69,6 +70,11 @@ class SentinelConfig:
         if self.vms_per_host < 1:
             raise SentinelError(
                 f"need >= 1 VM per host, got {self.vms_per_host}"
+            )
+        if self.vms_per_host > ClusterNode.capacity_vms:
+            raise SentinelError(
+                f"need <= {ClusterNode.capacity_vms} VMs per host (node "
+                f"capacity), got {self.vms_per_host}"
             )
         if not self.pool:
             raise SentinelError("hypervisor pool cannot be empty")
@@ -302,7 +308,7 @@ class Sentinel:
             return
 
         # Precedence 2/3: gate per hypervisor kind actually in the fleet.
-        for kind in sorted(self.inventory.kinds()):
+        for kind in self.inventory.running_kinds():
             if not self.policy.should_respond(record, kind):
                 self.counters["gate_skipped"] += 1
                 continue
@@ -336,7 +342,7 @@ class Sentinel:
         # then a fresh gate pass for any kind still exposed to an open
         # flaw (a residual case may have just gained a safe target).
         open_cves = self.inventory.open_cves()
-        for kind in sorted(self.inventory.kinds()):
+        for kind in self.inventory.running_kinds():
             if self.config.policy.return_transplant and kind != self._home:
                 self._enqueue(_Request(
                     source_kind=kind, trigger_cve=None,
@@ -377,10 +383,10 @@ class Sentinel:
     def _admit(self, request: _Request) -> bool:
         """Reserve a campaign slot and schedule the launch, or drop."""
         now = self._engine.now
-        if not self.inventory.kinds().get(request.source_kind):
+        if not self.inventory.host_count(request.source_kind):
             self.counters["requests_dropped"] += 1
             return False
-        free_slots = 22 - self.config.vms_per_host  # ClusterNode capacity
+        free_slots = ClusterNode.capacity_vms - self.config.vms_per_host
         if free_slots < self.config.policy.min_free_slots:
             # The fleet is packed too tight to evacuate anything; these
             # hosts ride the patch cycle (the paper's InPlaceTP argument
@@ -416,8 +422,7 @@ class Sentinel:
     def _launch(self, active: _Active) -> None:
         now = self._engine.now
         request = active.request
-        hosts = self.inventory.kinds().get(request.source_kind, [])
-        if not hosts:
+        if not self.inventory.host_count(request.source_kind):
             self.counters["requests_dropped"] += 1
             self._abandon(active)
             return
@@ -467,6 +472,7 @@ class Sentinel:
             target = choice.target
             escape = choice.escape_fraction
 
+        hosts = self.inventory.kinds()[request.source_kind]
         metrics, mapping = self._run_data_plane(active, hosts, target)
         record = active.record
         record.target = target

@@ -185,6 +185,22 @@ class TestCampaignErrors:
         assert capsys.readouterr().err == (
             f"{command}: concurrency must be >= 1 or None, got -3\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fleet", "--vms-per-host", "0"],
+         "fleet: need >= 1 VM per host, got 0\n"),
+        (["fleet", "--vms-per-host", "30"],
+         "fleet: need <= 22 VMs per host (node capacity), got 30\n"),
+        (["sentinel", "--vms-per-host", "30"],
+         "sentinel: need <= 22 VMs per host (node capacity), got 30\n"),
+    ])
+    def test_vms_per_host_checked_against_node_capacity(self, argv, message,
+                                                        capsys):
+        """Rejected when the config is built, before any cluster is
+        built or any campaign runs, with one line under any worker count."""
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == 2
+            assert capsys.readouterr().err == message
+
 
 class TestTraceFlag:
     def test_trace_file_written(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.model import ClusterNode
 from repro.errors import JournalCrash, JournalDivergence, JournalError
 from repro.fleet import (
     FailureInjector,
@@ -167,7 +168,7 @@ def fleet_configs(draw):
     current = draw(st.sampled_from(_KINDS))
     return FleetConfig(
         hosts=draw(st.integers(1, 5000)),
-        vms_per_host=draw(st.integers(1, 64)),
+        vms_per_host=draw(st.integers(1, ClusterNode.capacity_vms)),
         inplace_fraction=draw(_RATE),
         group_size=draw(st.integers(1, 64)),
         seed=draw(st.integers(0, 2**63 - 1)),

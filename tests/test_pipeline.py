@@ -7,10 +7,13 @@ every layer, and the default campaign's artifacts must stay
 byte-identical to the pre-refactor goldens.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.model import build_paper_cluster
 from repro.cluster.btrplace import BtrPlacePlanner
@@ -21,6 +24,7 @@ from repro.core.mechanisms import (
     decide_fleet,
     mechanism_mix,
 )
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import (
     STAGE_ORDER,
     EvacuationSpec,
@@ -67,7 +71,7 @@ class TestStagePlan:
             HypervisorKind.KVM).plan_host("h", 2, 8 * GIB)
         with pytest.raises(TransplantError, match="protocol order"):
             StagePlan(
-                mechanism="inplace", subject="h",
+                mechanism="inplace",
                 stages=tuple(reversed(good.stages)),
                 total_s=good.total_s, execute_s=good.execute_s,
                 downtime_s=good.downtime_s,
@@ -78,7 +82,7 @@ class TestStagePlan:
             HypervisorKind.KVM).plan_host("h", 2, 8 * GIB)
         with pytest.raises(TransplantError, match="re-association"):
             StagePlan(
-                mechanism="inplace", subject="h", stages=good.stages,
+                mechanism="inplace", stages=good.stages,
                 total_s=good.total_s * 2, execute_s=good.execute_s,
                 downtime_s=good.downtime_s,
             )
@@ -125,6 +129,104 @@ class TestStagePlan:
 
 
 # -- executor parity -----------------------------------------------------------
+
+
+def _settings(pipeline):
+    """A pipeline's value settings, with the machine reduced to its spec
+    (what its plans depend on besides the call's arguments)."""
+    values = dict(vars(pipeline))
+    if "machine" in values:
+        values["machine"] = values["machine"].spec
+    return (type(pipeline).__name__,) + tuple(sorted(values.items()))
+
+
+class TestSharedPlans:
+    """``plan_host``/``plan_vm`` build each shape once and share it."""
+
+    def test_shared_plan_equals_a_fresh_build(self):
+        pipelines = TransplantPipelines(verify=VerifySpec(0.01, 0.002))
+        inplace = pipelines.inplace(HypervisorKind.KVM)
+        for vm_count, memory in ((0, 0), (1, 4 * GIB), (7, 40 * GIB)):
+            shared = inplace.plan_host("a", vm_count, memory)
+            assert inplace.plan_host("b", vm_count, memory) is shared
+            fresh = inplace._plan_host(vm_count, memory)
+            for field in dataclasses.fields(StagePlan):
+                assert getattr(shared, field.name) == \
+                    getattr(fresh, field.name)
+        migration = pipelines.migration(HypervisorKind.XEN)
+        for memory, dirty, vcpus in ((4 * GIB, 1 << 20, 1),
+                                     (2 * GIB, 96 << 20, 4)):
+            shared = migration.plan_vm("vm-a", memory, dirty, vcpus)
+            assert migration.plan_vm("vm-b", memory, dirty, vcpus) is shared
+            fresh = migration._plan_vm(memory, dirty, vcpus)
+            for field in dataclasses.fields(StagePlan):
+                assert getattr(shared, field.name) == \
+                    getattr(fresh, field.name)
+
+    def test_equal_settings_share_and_different_settings_do_not(self):
+        one = TransplantPipelines().inplace(HypervisorKind.KVM)
+        two = TransplantPipelines().inplace(HypervisorKind.KVM)
+        assert one.machine is not two.machine
+        assert one.plan_host("h", 4, 16 * GIB) is \
+            two.plan_host("h", 4, 16 * GIB)
+        verified = TransplantPipelines(verify=VerifySpec(1.0, 0.5)).inplace(
+            HypervisorKind.KVM).plan_host("h", 4, 16 * GIB)
+        assert verified.total_s > one.plan_host("h", 4, 16 * GIB).total_s
+        to_xen = TransplantPipelines().inplace(HypervisorKind.XEN)
+        assert to_xen.plan_host("h", 4, 16 * GIB) is not \
+            one.plan_host("h", 4, 16 * GIB)
+
+    def test_tables_live_outside_the_instances(self):
+        """Instance settings stay hashable values, which a shape key is
+        built from; the shared tables are class attributes."""
+        pipelines = TransplantPipelines()
+        inplace = pipelines.inplace(HypervisorKind.KVM)
+        migration = pipelines.migration(HypervisorKind.KVM)
+        inplace.plan_host("h", 1, GIB)
+        migration.plan_vm("v", GIB, 1.0)
+        for pipeline in (inplace, migration):
+            assert "_plans" not in vars(pipeline)
+            hash(_settings(pipeline))
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "PLAN_TABLE_LIMIT", 2)
+        monkeypatch.setattr(InPlacePipeline, "_plans", {})
+        inplace = TransplantPipelines().inplace(HypervisorKind.KVM)
+        plans = [inplace.plan_host("h", count, count * GIB)
+                 for count in range(1, 6)]
+        assert len(InPlacePipeline._plans) <= 2
+        assert plans == [inplace._plan_host(count, count * GIB)
+                         for count in range(1, 6)]
+
+    def test_campaign_builds_one_plan_per_shape(self, monkeypatch):
+        monkeypatch.setattr(InPlacePipeline, "_plans", {})
+        monkeypatch.setattr(MigrationPipeline, "_plans", {})
+        builds = []
+        check = StagePlan.__post_init__
+
+        def counting_check(plan):
+            builds.append(plan.mechanism)
+            check(plan)
+
+        monkeypatch.setattr(StagePlan, "__post_init__", counting_check)
+        calls = []
+
+        def recording(method):
+            def wrapper(self, subject, *args):
+                calls.append((_settings(self), args))
+                return method(self, subject, *args)
+            return wrapper
+
+        monkeypatch.setattr(InPlacePipeline, "plan_host",
+                            recording(InPlacePipeline.plan_host))
+        monkeypatch.setattr(MigrationPipeline, "plan_vm",
+                            recording(MigrationPipeline.plan_vm))
+        FleetController(FleetConfig(hosts=200, vms_per_host=10,
+                                    inplace_fraction=0.8, group_size=40,
+                                    seed=42)).run()
+        shapes = set(calls)
+        assert len(builds) == len(shapes)
+        assert len(calls) > 10 * len(shapes)
 
 
 class TestExecutorParity:
@@ -386,6 +488,32 @@ def profile(name, workload="cpu-memory", memory_gib=4, capable=True,
     )
 
 
+def _decide_fleet_rescan(policy, host_vms, free_slots, *, inplace,
+                         migration):
+    """``decide_fleet`` as first written: the spare pool re-summed for
+    every host and every provider walked on every drain (O(hosts^2))."""
+    remaining = {name: free_slots[name] for name in sorted(free_slots)}
+    decisions = {}
+    for host in sorted(host_vms):
+        spare = sum(slots for name, slots in remaining.items()
+                    if name != host)
+        decision = policy.decide_host(
+            host, host_vms[host], inplace=inplace, migration=migration,
+            spare_slots=spare,
+        )
+        decisions[host] = decision
+        need = len(decision.evacuate)
+        for name in remaining:
+            if need == 0:
+                break
+            if name == host:
+                continue
+            taken = min(remaining[name], need)
+            remaining[name] -= taken
+            need -= taken
+    return decisions
+
+
 @pytest.fixture
 def pipelines():
     return TransplantPipelines(verify=VerifySpec(0.01, 0.002))
@@ -562,6 +690,32 @@ class TestMechanismPolicy:
             "hybrid": {"hosts": 1, "vms": 2, "evacuations": 1},
             "inplace": {"hosts": 1, "vms": 2, "evacuations": 0},
         }
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_decide_fleet_matches_the_full_rescan(self, data):
+        names = [f"n{i:02d}" for i in range(data.draw(st.integers(1, 12)))]
+        hosts = data.draw(st.lists(st.sampled_from(names), unique=True,
+                                   min_size=1))
+        # Some hosts provide no slots at all; some providers host nothing.
+        free_slots = {name: data.draw(st.integers(0, 6)) for name in names
+                      if data.draw(st.booleans())}
+        host_vms = {
+            host: [profile(f"{host}-v{i}",
+                           workload=data.draw(st.sampled_from(
+                               ("idle", "cpu-memory", "streaming"))),
+                           capable=data.draw(st.booleans()),
+                           migratable=data.draw(st.booleans()))
+                   for i in range(data.draw(st.integers(0, 5)))]
+            for host in hosts
+        }
+        policy = MechanismPolicy(data.draw(st.sampled_from(
+            ("inplace", "migration", "hybrid", "auto"))))
+        pipelines = TransplantPipelines(verify=VerifySpec(0.01, 0.002))
+        kwargs = dict(inplace=pipelines.inplace(HypervisorKind.KVM),
+                      migration=pipelines.migration(HypervisorKind.KVM))
+        assert decide_fleet(policy, host_vms, free_slots, **kwargs) == \
+            _decide_fleet_rescan(policy, host_vms, free_slots, **kwargs)
 
     def test_profile_adapts_cluster_vm(self):
         cluster = build_paper_cluster(hosts=2, vms_per_host=2,

@@ -4,6 +4,8 @@ responder, report)."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SentinelError
 from repro.sentinel import (
@@ -181,6 +183,114 @@ class TestInventory:
         snapshot = inv.snapshot()
         assert list(snapshot["hosts"]) == ["a", "b", "c"]
         assert snapshot["open_cves"] == []
+
+
+_KINDS = ("xen", "kvm", "nova")
+
+
+@st.composite
+def inventory_scripts(draw):
+    """A fleet plus a time-ordered script of inventory mutations."""
+    hosts = {f"h{i}": draw(st.sampled_from(_KINDS))
+             for i in range(draw(st.integers(1, 8)))}
+    flaws = [_record(f"CVE-{i}", draw(st.sets(st.sampled_from(_KINDS),
+                                              min_size=1)))
+             for i in range(draw(st.integers(1, 4)))]
+    steps = []
+    now = 0.0
+    for _ in range(draw(st.integers(0, 30))):
+        now += draw(st.sampled_from((0.0, 0.25, 1.0, 3600.0, 86400.0 / 7)))
+        action = draw(st.sampled_from(("open", "close", "commit")))
+        if action == "commit":
+            steps.append((now, action, draw(st.sampled_from(sorted(hosts))),
+                          draw(st.sampled_from(_KINDS))))
+        else:
+            steps.append((now, action, draw(st.sampled_from(flaws)), None))
+    return hosts, steps
+
+
+class _ReferenceInventory:
+    """The scan-every-host exposure ledger the per-kind counts replace."""
+
+    def __init__(self, hosts):
+        self.kind = dict(hosts)
+        self.open = {}
+        self.exposure_s = {}
+        self.accrued_to_s = 0.0
+
+    def count(self, cve_id):
+        record = self.open.get(cve_id)
+        if record is None:
+            return 0
+        return len([host for host in sorted(self.kind)
+                    if record.affects(self.kind[host])])
+
+    def advance(self, now_s):
+        elapsed = now_s - self.accrued_to_s
+        if elapsed > 0:
+            for cve_id in self.open:
+                count = self.count(cve_id)
+                if count:
+                    self.exposure_s[cve_id] = (
+                        self.exposure_s.get(cve_id, 0.0) + count * elapsed
+                    )
+        self.accrued_to_s = now_s
+
+
+class TestInventoryMatchesScan:
+    @given(inventory_scripts())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_and_integrals_match_a_full_scan(self, script):
+        hosts, steps = script
+        inv = FleetInventory(hosts)
+        ref = _ReferenceInventory(hosts)
+        for now, action, subject, kind in steps:
+            if action != "commit" and \
+                    (subject.cve_id in ref.open) != (action == "close"):
+                continue  # a double open or a blind close: rejected
+            ref.advance(now)
+            if action == "open":
+                inv.open_cve(now, subject)
+                ref.open[subject.cve_id] = subject
+                ref.exposure_s.setdefault(subject.cve_id, 0.0)
+            elif action == "close":
+                inv.close_cve(now, subject.cve_id)
+                del ref.open[subject.cve_id]
+            else:
+                inv.commit_host(now, subject, kind)
+                ref.kind[subject] = kind
+            for cve_id in ref.exposure_s:
+                assert inv.exposure_count(cve_id) == ref.count(cve_id)
+            # Same int times the same float, summed in the same order:
+            # the integrals agree bit for bit, not approximately.
+            assert inv.exposure_s == ref.exposure_s
+            for kind_name in _KINDS:
+                assert inv.host_count(kind_name) == \
+                    len(inv.kinds().get(kind_name, []))
+            assert inv.running_kinds() == sorted(inv.kinds())
+
+
+def _replay_affects_calls(monkeypatch, hosts):
+    calls = [0]
+    original = CVERecord.affects
+
+    def counting(self, hypervisor_kind):
+        calls[0] += 1
+        return original(self, hypervisor_kind)
+
+    monkeypatch.setattr(CVERecord, "affects", counting)
+    Sentinel(SentinelConfig(hosts=hosts, group_size=40,
+                            feed=FeedSchedule(mean_gap_days=7.0))).run()
+    monkeypatch.setattr(CVERecord, "affects", original)
+    return calls[0]
+
+
+def test_exposure_accounting_does_not_scan_hosts(monkeypatch):
+    """Flaw-to-kind checks per replay do not grow with the fleet: the
+    inventory counts exposure per kind, never per host."""
+    small = _replay_affects_calls(monkeypatch, 50)
+    large = _replay_affects_calls(monkeypatch, 200)
+    assert small == large
 
 
 class TestPolicy:
