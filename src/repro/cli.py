@@ -270,10 +270,13 @@ def cmd_inplace(args) -> int:
     from repro.guest.devices import make_default_platform
     from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
     from repro.guest.devices import KVM_IOAPIC_PINS, XEN_IOAPIC_PINS
+    from repro.errors import TransplantError
 
     if args.source is args.target:
         print("source and target must differ", file=sys.stderr)
         return 2
+    if args.vms < 1:
+        raise TransplantError(f"need >= 1 VM, got {args.vms}")
 
     pins = {
         HypervisorKind.XEN: XEN_IOAPIC_PINS,
@@ -320,8 +323,10 @@ def cmd_inplace(args) -> int:
 
 def cmd_migrate(args) -> int:
     from repro.bench.runner import make_host_pair
-    from repro.core.migration import LiveMigration, MigrationTP
+    from repro.core.migration import (LiveMigration, MigrationTP,
+                                      check_dirty_rate)
 
+    check_dirty_rate(args.dirty_mb_s, "MB/s")
     source, destination, fabric = make_host_pair(
         args.machine, args.dest, vcpus=args.vcpus,
         memory_gib=args.memory_gib,

@@ -380,6 +380,7 @@ class InPlaceTP:
         return mfns
 
     def _free_uisr(self, mfns: List[int]) -> None:
+        memory = self.machine.memory
         for mfn in mfns:
-            self.machine.memory.unpin(mfn)
-            self.machine.memory.free(mfn)
+            memory.unpin(mfn)
+        memory.free_many(mfns)

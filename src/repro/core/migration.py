@@ -15,6 +15,7 @@ explanation for the downtime variance when migrating many VMs at once,
 Fig. 8/9): concurrent incoming migrations queue for the final activation.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -72,6 +73,14 @@ class MigrationReport:
         return len(self.rounds)
 
 
+def check_dirty_rate(rate: float, unit: str = "B/s") -> None:
+    """Reject a guest dirty rate pre-copy cannot model (negative, NaN,
+    infinite) before any round is planned or any clock moves."""
+    if not (math.isfinite(rate) and rate >= 0):
+        raise MigrationError(
+            f"dirty rate must be a finite number >= 0 {unit}, got {rate:g}")
+
+
 def plan_precopy(memory_bytes: int, rate_bytes_s: float,
                  dirty_rate_bytes_s: float,
                  cost: CostModel) -> List[PreCopyRound]:
@@ -84,6 +93,7 @@ def plan_precopy(memory_bytes: int, rate_bytes_s: float,
     """
     if rate_bytes_s <= 0:
         raise MigrationError("migration needs positive link rate")
+    check_dirty_rate(dirty_rate_bytes_s)
     rounds: List[PreCopyRound] = []
     to_send = memory_bytes
     threshold = max(1, int(memory_bytes * cost.stop_threshold_fraction))

@@ -425,10 +425,9 @@ class PRAMFilesystem:
 
     def teardown(self) -> int:
         """Free all metadata pages; returns bytes returned to the host."""
-        freed = 0
         for mfn in self._metadata_mfns:
             self.memory.unpin(mfn)
-            self.memory.free(mfn)
-            freed += _PAGE_BYTES
+        self.memory.free_many(self._metadata_mfns)
+        freed = len(self._metadata_mfns) * _PAGE_BYTES
         self._metadata_mfns = []
         return freed

@@ -28,12 +28,13 @@ class GuestImage:
         self.size_bytes = size_bytes
         self.page_size = page_size
         self.page_count = size_bytes // page_size
-        self._gfn_to_frame: Dict[int, int] = {}
-        rng = random.Random(seed ^ 0xA5A5A5A5)
-        frames = memory.allocate_many(self.page_count, size=page_size)
-        for gfn, frame in enumerate(frames):
-            frame.digest = rng.getrandbits(63) | 1  # never zero: looks "used"
-            self._gfn_to_frame[gfn] = frame.mfn
+        getrandbits = random.Random(seed ^ 0xA5A5A5A5).getrandbits
+        gfn_to_frame: Dict[int, int] = {}
+        for gfn, frame in enumerate(
+                memory.allocate_many(self.page_count, size=page_size)):
+            frame.digest = getrandbits(63) | 1  # never zero: looks "used"
+            gfn_to_frame[gfn] = frame.mfn
+        self._gfn_to_frame = gfn_to_frame
         self._released = False
         # Dirty logging (Xen log-dirty mode / KVM_GET_DIRTY_LOG): while
         # enabled, guest stores record the written GFNs for pre-copy.
@@ -123,9 +124,8 @@ class GuestImage:
         """Free all backing frames (VM destruction)."""
         if self._released:
             raise VMLifecycleError("guest image already released")
-        for mfn in self._gfn_to_frame.values():
-            self.memory.unpin(mfn)
-            self.memory.free(mfn)
+        self.unpin_all()
+        self.memory.free_many(self._gfn_to_frame.values())
         self._gfn_to_frame.clear()
         self._released = True
 

@@ -9,9 +9,17 @@ Frames can be *pinned* (registered with PRAM) which forbids the allocator
 from handing them out again after a micro-reboot — the mechanism the paper
 adds to both Xen and KVM so that kexec does not scribble over guest RAM
 (§4.2.4).
+
+The free list is canonical: sorted by start, every region maximal (no two
+adjacent).  ``allocate_many`` carves ``count`` frames by first fit in one
+pass over it — the MFNs single first-fit allocations would pick, since
+within one call a region first fit skipped never grows again — and
+``free_many`` merges all freed frames back in one sorted pass.
+``allocate`` and ``free`` are their one-frame cases, so there is one
+implementation of each.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set
 
@@ -42,6 +50,10 @@ class _Region:
 
     start: int
     count: int
+
+
+def _start(region: _Region) -> int:
+    return region.start
 
 
 class PhysicalMemory:
@@ -91,42 +103,104 @@ class PhysicalMemory:
 
     def allocate(self, size: int = PAGE_4K, digest: int = 0) -> Frame:
         """Allocate one frame of ``size`` bytes (first fit, aligned)."""
+        frame = self.allocate_many(1, size)[0]
+        frame.digest = digest
+        return frame
+
+    def allocate_many(self, count: int, size: int = PAGE_4K) -> List[Frame]:
+        """Allocate ``count`` frames by first fit in one free-list pass.
+
+        Returns the frames ``count`` single first-fit allocations would,
+        in the same order; a call that cannot be satisfied changes
+        nothing.
+        """
         if size not in _VALID_PAGE_SIZES:
             raise FrameAllocationError(f"unsupported allocation size {size}")
         base_frames = size // PAGE_4K
-        for idx, region in enumerate(self._free):
+        carves: List[range] = []
+        # The scanned prefix of the free list as it reads after the carves.
+        head: List[_Region] = []
+        scanned = 0
+        need = count
+        for region in self._free:
+            if need <= 0:
+                break
+            scanned += 1
             start = self._align_up(region.start, base_frames)
-            skip = start - region.start
-            if region.count - skip >= base_frames:
-                self._carve(idx, start, base_frames)
-                frame = Frame(mfn=start, size=size, digest=digest)
-                self._allocated[start] = frame
-                self._allocated_bytes += size
-                return frame
-        raise FrameAllocationError(
-            f"out of memory: need {size} bytes, {self.free_bytes} free"
-        )
-
-    def allocate_many(self, count: int, size: int = PAGE_4K) -> List[Frame]:
-        """Allocate ``count`` frames; rolls back on partial failure."""
-        frames: List[Frame] = []
-        try:
-            for _ in range(count):
-                frames.append(self.allocate(size))
-        except FrameAllocationError:
-            for frame in frames:
-                self.free(frame.mfn)
-            raise
+            end = region.start + region.count
+            fits = min(need, (end - start) // base_frames)
+            if fits <= 0:
+                head.append(region)
+                continue
+            stop = start + fits * base_frames
+            carves.append(range(start, stop, base_frames))
+            need -= fits
+            if start > region.start:
+                head.append(_Region(region.start, start - region.start))
+            if stop < end:
+                head.append(_Region(stop, end - stop))
+        if need > 0:
+            # The message one-at-a-time allocation gave: the free space
+            # left once the frames that did fit were taken.
+            free = self.free_bytes - (count - need) * size
+            raise FrameAllocationError(
+                f"out of memory: need {size} bytes, {free} free")
+        self._free[:scanned] = head
+        frames = [Frame(mfn, size) for mfns in carves for mfn in mfns]
+        allocated = self._allocated
+        for frame in frames:
+            allocated[frame.mfn] = frame
+        self._allocated_bytes += len(frames) * size
         return frames
 
     def free(self, mfn: int) -> None:
         """Return a frame to the allocator."""
-        frame = self.frame(mfn)
-        if mfn in self._pinned:
-            raise FrameAllocationError(f"cannot free pinned frame mfn={mfn}")
-        del self._allocated[mfn]
-        self._allocated_bytes -= frame.size
-        self._insert_free(_Region(mfn, frame.size // PAGE_4K))
+        self.free_many((mfn,))
+
+    def free_many(self, mfns: Iterable[int]) -> None:
+        """Return frames to the allocator, all or none.
+
+        Every MFN is checked before any is freed: an unknown, pinned or
+        repeated one raises the error the one-at-a-time frees would have
+        stopped at, and frees nothing.  The freed frames are coalesced
+        into runs and merged into the free list in one sorted pass over
+        the span they touch, which leaves the list sorted and maximal as
+        single frees would.
+        """
+        allocated = self._allocated
+        released: Set[int] = set()
+        for mfn in mfns:
+            if mfn not in allocated or mfn in released:
+                raise FrameAllocationError(f"mfn {mfn} is not allocated")
+            if mfn in self._pinned:
+                raise FrameAllocationError(
+                    f"cannot free pinned frame mfn={mfn}")
+            released.add(mfn)
+        if not released:
+            return
+        runs: List[_Region] = []
+        freed_bytes = 0
+        for mfn in sorted(released):
+            size = allocated.pop(mfn).size
+            freed_bytes += size
+            if runs and runs[-1].start + runs[-1].count == mfn:
+                runs[-1].count += size // PAGE_4K
+            else:
+                runs.append(_Region(mfn, size // PAGE_4K))
+        self._allocated_bytes -= freed_bytes
+        # No free region outside [left neighbour of the first run, region
+        # starting where the last run ends] can touch a run: merge only
+        # that span.
+        free = self._free
+        lo = max(bisect_left(free, runs[0].start, key=_start) - 1, 0)
+        hi = bisect_right(free, runs[-1].start + runs[-1].count, key=_start)
+        merged: List[_Region] = []
+        for region in sorted(free[lo:hi] + runs, key=_start):
+            if merged and merged[-1].start + merged[-1].count == region.start:
+                merged[-1].count += region.count
+            else:
+                merged.append(region)
+        free[lo:hi] = merged
 
     # -- pinning (PRAM protection across kexec) ---------------------------
 
@@ -173,9 +247,13 @@ class PhysicalMemory:
 
     def digest_of(self, mfns: Iterable[int]) -> int:
         """Combined digest over an ordered set of frames (guest image hash)."""
+        allocated = self._allocated
         acc = 0
         for mfn in mfns:
-            acc = (acc * 1000003 + self.frame(mfn).digest) & 0xFFFFFFFFFFFFFFFF
+            frame = allocated.get(mfn)
+            if frame is None:
+                raise FrameAllocationError(f"mfn {mfn} is not allocated")
+            acc = (acc * 1000003 + frame.digest) & 0xFFFFFFFFFFFFFFFF
         return acc
 
     # -- internals ---------------------------------------------------------
@@ -183,34 +261,3 @@ class PhysicalMemory:
     @staticmethod
     def _align_up(value: int, alignment: int) -> int:
         return (value + alignment - 1) // alignment * alignment
-
-    def _carve(self, idx: int, start: int, base_frames: int) -> None:
-        region = self._free.pop(idx)
-        before = _Region(region.start, start - region.start)
-        after_start = start + base_frames
-        after = _Region(after_start, region.start + region.count - after_start)
-        replacement = [r for r in (before, after) if r.count > 0]
-        self._free[idx:idx] = replacement
-
-    def _insert_free(self, region: _Region) -> None:
-        # The free list is always sorted and coalesced, so a freed region
-        # needs only an ordered insert plus merges with its two direct
-        # neighbors — O(log n + n·move), not the former full re-sort and
-        # whole-list re-coalesce per free().
-        idx = bisect_left(self._free, region.start, key=lambda r: r.start)
-        if idx > 0:
-            prev = self._free[idx - 1]
-            if prev.start + prev.count == region.start:
-                prev.count += region.count
-                if (idx < len(self._free)
-                        and prev.start + prev.count == self._free[idx].start):
-                    prev.count += self._free[idx].count
-                    del self._free[idx]
-                return
-        if (idx < len(self._free)
-                and region.start + region.count == self._free[idx].start):
-            successor = self._free[idx]
-            successor.start = region.start
-            successor.count += region.count
-            return
-        self._free.insert(idx, region)

@@ -37,7 +37,12 @@ END_FRAME = 0
 
 _HEADER = struct.Struct("<IBBI")
 _CRC = struct.Struct("<I")
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
 
 #: fixed per-frame overhead: header + CRC32 trailer.
 FRAME_OVERHEAD = _HEADER.size + _CRC.size
@@ -62,22 +67,22 @@ class Packer:
         return self
 
     def u8(self, value: int) -> "Packer":
-        return self._pack("<B", value)
+        return self._pack(_U8, value)
 
     def u16(self, value: int) -> "Packer":
-        return self._pack("<H", value)
+        return self._pack(_U16, value)
 
     def u32(self, value: int) -> "Packer":
-        return self._pack("<I", value)
+        return self._pack(_U32, value)
 
     def u64(self, value: int) -> "Packer":
-        return self._pack("<Q", value)
+        return self._pack(_U64, value)
 
     def i64(self, value: int) -> "Packer":
-        return self._pack("<q", value)
+        return self._pack(_I64, value)
 
     def f64(self, value: float) -> "Packer":
-        return self._pack("<d", value)
+        return self._pack(_F64, value)
 
     def string(self, value: str) -> "Packer":
         """Length-prefixed UTF-8 string (u32 byte length + bytes)."""
@@ -101,19 +106,31 @@ class Packer:
         return self
 
     def u64_seq(self, values: Iterable[int]) -> "Packer":
-        values = list(values)
-        self.u32(len(values))
-        for value in values:
-            self.u64(value)
-        return self
-
-    def _pack(self, fmt: str, value: int) -> "Packer":
+        """u32 count, then that many u64s, packed by one ``struct`` call."""
+        values = tuple(values)
+        count = len(values)
         try:
-            part = struct.pack(fmt, value)
+            part = struct.pack(f"<I{count}Q", count, *values)
         except struct.error as exc:
-            raise StateFormatError(f"cannot pack {value!r} as {fmt}: {exc}") from exc
+            # Re-pack element by element to name the one at fault, as
+            # the scalar ops do.
+            probe = Packer().u32(count)
+            for value in values:
+                probe.u64(value)
+            raise StateFormatError(
+                f"cannot pack a u64 sequence: {exc}") from exc
         self._parts.append(part)
         self._length += len(part)
+        return self
+
+    def _pack(self, codec: struct.Struct, value) -> "Packer":
+        try:
+            part = codec.pack(value)
+        except struct.error as exc:
+            raise StateFormatError(
+                f"cannot pack {value!r} as {codec.format}: {exc}") from exc
+        self._parts.append(part)
+        self._length += codec.size
         return self
 
     def bytes(self) -> bytes:
@@ -135,22 +152,22 @@ class Unpacker:
         return len(self._data) - self._offset
 
     def u8(self) -> int:
-        return self._unpack("<B", 1)
+        return self._unpack(_U8)
 
     def u16(self) -> int:
-        return self._unpack("<H", 2)
+        return self._unpack(_U16)
 
     def u32(self) -> int:
-        return self._unpack("<I", 4)
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return self._unpack("<Q", 8)
+        return self._unpack(_U64)
 
     def i64(self) -> int:
-        return self._unpack("<q", 8)
+        return self._unpack(_I64)
 
     def f64(self) -> float:
-        return self._unpack("<d", 8)
+        return self._unpack(_F64)
 
     def string(self) -> str:
         """Length-prefixed UTF-8 string (u32 byte length + bytes)."""
@@ -178,18 +195,21 @@ class Unpacker:
                 f"truncated blob: u64 sequence of {count} needs "
                 f"{count * 8} bytes, have {self.remaining}"
             )
-        return tuple(self.u64() for _ in range(count))
+        values = struct.unpack_from(f"<{count}Q", self._data, self._offset)
+        self._offset += count * 8
+        return values
 
     def expect_end(self) -> None:
         if self.remaining:
             raise StateFormatError(f"{self.remaining} trailing bytes in blob")
 
-    def _unpack(self, fmt: str, size: int):
-        if self.remaining < size:
+    def _unpack(self, codec: struct.Struct):
+        size = codec.size
+        if len(self._data) - self._offset < size:
             raise StateFormatError(
                 f"truncated blob: want {size} bytes, have {self.remaining}"
             )
-        (value,) = struct.unpack_from(fmt, self._data, self._offset)
+        (value,) = codec.unpack_from(self._data, self._offset)
         self._offset += size
         return value
 

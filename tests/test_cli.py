@@ -60,6 +60,31 @@ class TestMigrateCommand:
         assert "pre-copy rounds" in out
 
 
+class TestByteLevelInputErrors:
+    """inplace and migrate reject a bad count or rate with one line that
+    names it, before any host is built or any clock moves."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["inplace", "--vms", "0"], "inplace: need >= 1 VM, got 0\n"),
+        (["inplace", "--vms", "-1"], "inplace: need >= 1 VM, got -1\n"),
+        (["migrate", "--dirty-mb-s", "-5"],
+         "migrate: dirty rate must be a finite number >= 0 MB/s, got -5\n"),
+        (["migrate", "--dirty-mb-s", "inf"],
+         "migrate: dirty rate must be a finite number >= 0 MB/s, got inf\n"),
+        (["migrate", "--dirty-mb-s", "nan"],
+         "migrate: dirty rate must be a finite number >= 0 MB/s, got nan\n"),
+    ])
+    def test_rejected_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+    def test_zero_dirty_rate_still_runs(self, capsys):
+        assert main(["migrate", "--dirty-mb-s", "0"]) == 0
+        assert "guest intact    : True" in capsys.readouterr().out
+
+
 class TestAdviseCommand:
     def test_safe_target_found(self, capsys):
         assert main(["advise", "CVE-2016-6258"]) == 0

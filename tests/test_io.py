@@ -1,6 +1,8 @@
 """Tests for the repro.io streaming frame layer and page codecs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import wire
 from repro.core.pram import PRAMFilesystem
@@ -160,6 +162,56 @@ class TestPackerUnpacker:
     def test_u64_seq_roundtrip(self):
         blob = Packer().u64_seq([1, 2, 3]).bytes()
         assert Unpacker(blob).u64_seq() == (1, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=300))
+    def test_u64_seq_matches_per_element_packing(self, values):
+        one_call = Packer().u64_seq(iter(values))
+        per_element = Packer().u32(len(values))
+        for value in values:
+            per_element.u64(value)
+        assert one_call.bytes() == per_element.bytes()
+        assert len(one_call) == len(per_element)
+        unpacker = Unpacker(one_call.bytes() + b"tail")
+        assert unpacker.u64_seq() == tuple(values)
+        assert unpacker.raw(4) == b"tail"
+
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.5])
+    def test_u64_seq_names_the_value_it_cannot_pack(self, bad):
+        packer = Packer().u8(9)
+        with pytest.raises(StateFormatError,
+                           match=f"cannot pack {bad!r} as <Q"):
+            packer.u64_seq([1, bad, 2])
+        assert packer.bytes() == b"\x09"  # nothing of the sequence landed
+
+    def test_u64_seq_truncated_body_rejected(self):
+        blob = Packer().u64_seq([1, 2, 3]).bytes()[:-1]
+        unpacker = Unpacker(blob)
+        with pytest.raises(StateFormatError,
+                           match="u64 sequence of 3 needs 24 bytes, have 23"):
+            unpacker.u64_seq()
+
+    def test_u64_seq_truncated_count_rejected(self):
+        with pytest.raises(StateFormatError,
+                           match="want 4 bytes, have 3"):
+            Unpacker(b"\x01\x00\x00").u64_seq()
+
+    @pytest.mark.parametrize("op, value, fmt", [
+        ("u8", 256, "<B"), ("u16", -1, "<H"), ("u32", 2 ** 32, "<I"),
+        ("i64", 2 ** 63, "<q"), ("f64", "x", "<d"),
+    ])
+    def test_scalar_pack_errors_name_value_and_format(self, op, value, fmt):
+        with pytest.raises(StateFormatError,
+                           match=f"cannot pack {value!r} as {fmt}"):
+            getattr(Packer(), op)(value)
+
+    @pytest.mark.parametrize("op, size", [
+        ("u8", 1), ("u16", 2), ("u32", 4), ("u64", 8), ("i64", 8), ("f64", 8),
+    ])
+    def test_scalar_unpack_truncation(self, op, size):
+        with pytest.raises(StateFormatError,
+                           match=f"want {size} bytes, have {size - 1}"):
+            getattr(Unpacker(b"\x00" * (size - 1)), op)()
 
 
 class TestPageStream:

@@ -11,6 +11,7 @@ from repro.core.migration import (
     plan_precopy,
 )
 from repro.core.timings import DEFAULT_COST_MODEL
+from repro.sim.clock import SimClock
 
 GIB = 1024 ** 3
 MB = 1 << 20
@@ -45,6 +46,11 @@ class TestPreCopyPlanning:
         with pytest.raises(MigrationError):
             plan_precopy(GIB, 0, MB, DEFAULT_COST_MODEL)
 
+    @pytest.mark.parametrize("dirty", [-1.0, float("inf"), float("nan")])
+    def test_unmodelable_dirty_rate_rejected(self, dirty):
+        with pytest.raises(MigrationError, match="dirty rate must be"):
+            plan_precopy(GIB, 100 * MB, dirty, DEFAULT_COST_MODEL)
+
 
 class TestMigrationTP:
     def _pair(self, xen_host_factory, kvm_host_factory, fabric, **src_kwargs):
@@ -59,6 +65,18 @@ class TestMigrationTP:
         fabric.connect(a, b)
         with pytest.raises(MigrationError):
             MigrationTP(fabric, a, b)
+
+    def test_negative_dirty_rate_rejected_before_the_clock_moves(
+            self, xen_host_factory, kvm_host_factory, fabric):
+        source, destination = self._pair(xen_host_factory, kvm_host_factory,
+                                         fabric, vm_count=1)
+        domain = next(iter(source.hypervisor.domains.values()))
+        clock = SimClock()
+        with pytest.raises(MigrationError, match="got -5"):
+            MigrationTP(fabric, source, destination).migrate(
+                domain, clock, dirty_rate_bytes_s=-5.0)
+        assert clock.now == 0
+        assert domain.vm in [d.vm for d in source.hypervisor.domains.values()]
 
     def test_vm_lands_on_destination(self, xen_host_factory,
                                      kvm_host_factory, fabric):
